@@ -7,14 +7,16 @@
 //! Unlike `collection_ops` (which times the collection library
 //! natively), this times the *interpreter* end to end, so it is the
 //! regression gate for the decoded instruction stream, the borrow-based
-//! operand path, superinstruction fusion, unboxed scalar storage,
-//! loop-granular stream fusion and columnar (SoA) tuple storage. Every
-//! kernel runs under seven optimization configurations; results go to
-//! `BENCH_interp.json` at the workspace root: per-kernel best wall
-//! seconds and logical ops/sec per configuration, the fully-optimized
-//! speedup over the unoptimized interpreter, the `full` vs `no_soa`
-//! speedup (the tuple kernels' CI floor), and the geometric-mean
-//! speedup across kernels.
+//! operand path, superinstruction fusion and loop-granular stream
+//! fusion. Collection storage (unboxed scalars, columnar tuples) follows
+//! from each collection's static type, so every configuration runs it.
+//! Every kernel runs under four configurations — the unoptimized
+//! reference, one leave-one-out column per tier, and the production
+//! default; results go to `BENCH_interp.json` at the workspace root:
+//! per-kernel best wall seconds and logical ops/sec per configuration,
+//! the fully-optimized speedup over the reference, each tier's
+//! leave-one-out slowdown from the default, and geometric means across
+//! kernels.
 //!
 //! Self-timed (`harness = false`): run via `cargo bench --bench
 //! interp_dispatch`.
@@ -30,20 +32,15 @@ use ade_ir::{BinOp, CmpOp, MapSel, Module, Operand, Type};
 const N: u64 = 200_000;
 const RUNS: usize = 9;
 
-/// The optimization sweep: `base` is the unoptimized interpreter, the
-/// rest toggle superinstruction fusion, unboxed scalar storage,
-/// loop-granular stream fusion and columnar (SoA) tuple storage.
-/// `no_soa` is the production default minus columnar tuples — the
-/// reference the tuple kernels' CI floor compares `full` against —
-/// and `full` is the production default.
-const CONFIGS: [(&str, bool, bool, bool, bool); 7] = [
-    ("base", false, false, false, false),
-    ("fused", true, false, false, false),
-    ("unboxed", false, true, false, false),
-    ("fused_unboxed", true, true, false, false),
-    ("loop_fused", false, false, true, false),
-    ("no_soa", true, true, true, false),
-    ("full", true, true, true, true),
+/// The optimization sweep as `(name, fuse, loop_fuse)`: `base` is the
+/// unoptimized reference interpreter, `no_fuse` and `no_loop_fuse`
+/// are the production default minus one tier each (leave-one-out), and
+/// `full` is the production default.
+const CONFIGS: [(&str, bool, bool); 4] = [
+    ("base", false, false),
+    ("no_fuse", false, true),
+    ("no_loop_fuse", true, false),
+    ("full", true, true),
 ];
 
 struct Kernel {
@@ -357,9 +354,9 @@ const TUPLE_FOLDS: u64 = 16;
 /// Build a `Seq<(u64, u64)>` with `for_range` pushes, then fold its
 /// second field [`TUPLE_FOLDS`] times with a `foreach` whose body is
 /// exactly `add %acc, %t.1` — the projected `Reduce` streaming kernel.
-/// With columnar storage on, each fold streams the flat payload column
-/// and never materializes a tuple; `full` vs `no_soa` isolates the
-/// layout win (the CI floor for this kernel).
+/// Columnar storage lets each fold stream the flat payload column and
+/// never materialize a tuple; `full` vs `base` is the CI floor for this
+/// kernel.
 fn tuple_project_sum() -> Kernel {
     let mut b = FunctionBuilder::new("main", &[], Type::Void);
     let pair = Type::Tuple(vec![Type::U64, Type::U64]);
@@ -433,12 +430,10 @@ fn tuple_filter_by_field() -> Kernel {
     }
 }
 
-fn run_once(k: &Kernel, fuse: bool, unbox: bool, loop_fuse: bool, soa: bool) -> usize {
+fn run_once(k: &Kernel, fuse: bool, loop_fuse: bool) -> usize {
     let config = ExecConfig {
         fuse,
-        unbox,
         loop_fuse,
-        soa,
         ..ExecConfig::default()
     };
     Interpreter::new(&k.module, config)
@@ -452,15 +447,15 @@ fn run_once(k: &Kernel, fuse: bool, unbox: bool, loop_fuse: bool, soa: bool) -> 
 /// (one timed run per config per round) so slow drift — frequency
 /// scaling, co-tenant noise — hits all configs alike instead of
 /// whichever happened to run last.
-fn time_kernel(k: &Kernel) -> [f64; 7] {
-    for (_, fuse, unbox, loop_fuse, soa) in CONFIGS {
-        run_once(k, fuse, unbox, loop_fuse, soa); // warm-up (decode, allocator, caches)
+fn time_kernel(k: &Kernel) -> [f64; CONFIGS.len()] {
+    for (_, fuse, loop_fuse) in CONFIGS {
+        run_once(k, fuse, loop_fuse); // warm-up (decode, allocator, caches)
     }
-    let mut best = [f64::INFINITY; 7];
+    let mut best = [f64::INFINITY; CONFIGS.len()];
     for _ in 0..RUNS {
-        for (slot, (_, fuse, unbox, loop_fuse, soa)) in CONFIGS.into_iter().enumerate() {
+        for (slot, (_, fuse, loop_fuse)) in CONFIGS.into_iter().enumerate() {
             let t = Instant::now();
-            std::hint::black_box(run_once(k, fuse, unbox, loop_fuse, soa));
+            std::hint::black_box(run_once(k, fuse, loop_fuse));
             best[slot] = best[slot].min(t.elapsed().as_secs_f64());
         }
     }
@@ -483,12 +478,14 @@ fn main() {
     ];
     let mut rows = Vec::new();
     let mut log_speedup_sum = 0.0;
+    let mut log_no_fuse_sum = 0.0;
+    let mut log_no_loop_fuse_sum = 0.0;
     for k in &kernels {
         ade_ir::verify::verify_module(&k.module)
             .unwrap_or_else(|e| panic!("[{}] verify: {e}", k.name));
         let best = time_kernel(k);
         let mut walls = Vec::new();
-        for (slot, (cname, _, _, _, _)) in CONFIGS.into_iter().enumerate() {
+        for (slot, (cname, _, _)) in CONFIGS.into_iter().enumerate() {
             let wall = best[slot];
             println!(
                 "{:>16} {:>14}  {:>12.1} ops/s  {:.4} s",
@@ -499,14 +496,22 @@ fn main() {
             );
             walls.push((cname, wall));
         }
-        let base = walls[0].1;
-        let no_soa = walls[walls.len() - 2].1;
-        let optimized = walls[walls.len() - 1].1;
-        let speedup = base / optimized;
-        let speedup_soa = no_soa / optimized;
+        let [base, no_fuse, no_loop_fuse, full] = best;
+        let speedup = base / full;
+        let slowdown_no_fuse = no_fuse / full;
+        let slowdown_no_loop_fuse = no_loop_fuse / full;
         log_speedup_sum += speedup.ln();
+        log_no_fuse_sum += slowdown_no_fuse.ln();
+        log_no_loop_fuse_sum += slowdown_no_loop_fuse.ln();
         println!("{:>16} {:>14}  {speedup:>11.2}x", k.name, "speedup");
-        println!("{:>16} {:>14}  {speedup_soa:>11.2}x", k.name, "soa speedup");
+        println!(
+            "{:>16} {:>14}  {slowdown_no_fuse:>11.2}x",
+            k.name, "no_fuse/full"
+        );
+        println!(
+            "{:>16} {:>14}  {slowdown_no_loop_fuse:>11.2}x",
+            k.name, "no_loop/full"
+        );
         let wall_fields: Vec<String> = walls
             .iter()
             .map(|(c, w)| format!("\"{c}\": {w:.6}"))
@@ -519,30 +524,48 @@ fn main() {
             concat!(
                 "    {{\"kernel\": \"{}\", \"ops\": {}, ",
                 "\"wall_seconds\": {{{}}}, \"ops_per_sec\": {{{}}}, ",
-                "\"speedup_full\": {:.3}, \"speedup_soa\": {:.3}}}"
+                "\"speedup_full\": {:.3}, ",
+                "\"slowdown_no_fuse\": {:.3}, \"slowdown_no_loop_fuse\": {:.3}}}"
             ),
             k.name,
             k.ops,
             wall_fields.join(", "),
             rate_fields.join(", "),
             speedup,
-            speedup_soa
+            slowdown_no_fuse,
+            slowdown_no_loop_fuse
         ));
     }
-    let geomean = (log_speedup_sum / kernels.len() as f64).exp();
+    let kernel_count = kernels.len() as f64;
+    let geomean = (log_speedup_sum / kernel_count).exp();
+    let geomean_no_fuse = (log_no_fuse_sum / kernel_count).exp();
+    let geomean_no_loop_fuse = (log_no_loop_fuse_sum / kernel_count).exp();
     println!("{:>16} {:>14}  {geomean:>11.2}x", "GEOMEAN", "full");
+    println!(
+        "{:>16} {:>14}  {geomean_no_fuse:>11.2}x",
+        "GEOMEAN", "no_fuse/full"
+    );
+    println!(
+        "{:>16} {:>14}  {geomean_no_loop_fuse:>11.2}x",
+        "GEOMEAN", "no_loop/full"
+    );
+    let config_names: Vec<String> = CONFIGS.iter().map(|(c, _, _)| format!("\"{c}\"")).collect();
     let json = format!(
         concat!(
             "{{\n  \"iterations\": {},\n  \"runs\": {},\n",
-            "  \"configs\": [\"base\", \"fused\", \"unboxed\", \"fused_unboxed\", ",
-            "\"loop_fused\", \"no_soa\", \"full\"],\n",
+            "  \"configs\": [{}],\n",
             "  \"kernels\": [\n{}\n  ],\n",
-            "  \"geomean_speedup_full\": {:.3}\n}}\n"
+            "  \"geomean_speedup_full\": {:.3},\n",
+            "  \"geomean_slowdown_no_fuse\": {:.3},\n",
+            "  \"geomean_slowdown_no_loop_fuse\": {:.3}\n}}\n"
         ),
         N,
         RUNS,
+        config_names.join(", "),
         rows.join(",\n"),
-        geomean
+        geomean,
+        geomean_no_fuse,
+        geomean_no_loop_fuse
     );
     // Anchor to the workspace root (cargo runs benches from the package
     // dir) so the committed snapshot and the CI gate agree on the path.

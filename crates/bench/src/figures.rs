@@ -202,9 +202,9 @@ impl Session {
     }
 
     /// Overrides the interpreter-optimization toggles (superinstruction
-    /// fusion, unboxed scalar storage) for every cell this session runs.
-    /// Figures and statistics are identical for all four combinations —
-    /// the differential tests sweep this knob to prove it.
+    /// fusion, loop-granular stream fusion) for every cell this session
+    /// runs. Figures and statistics are identical for all four
+    /// combinations — the differential tests sweep this knob to prove it.
     #[must_use]
     pub fn interp_opts(mut self, opts: crate::runner::InterpOpts) -> Self {
         self.interp_opts = opts;

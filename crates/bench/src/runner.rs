@@ -125,29 +125,23 @@ pub fn run_benchmark_trials_profiled(
 }
 
 /// Interpreter-optimization toggles the harness threads through to
-/// [`ade_interp::ExecConfig`]. Production runs keep all four on (the
+/// [`ade_interp::ExecConfig`]. Production runs keep both on (the
 /// default); the differential tests sweep every combination to pin
 /// down that figures and statistics are independent of them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InterpOpts {
     /// Superinstruction fusion ([`ade_interp::ExecConfig::fuse`]).
     pub fuse: bool,
-    /// Unboxed scalar storage ([`ade_interp::ExecConfig::unbox`]).
-    pub unbox: bool,
     /// Loop-granular stream fusion
     /// ([`ade_interp::ExecConfig::loop_fuse`]).
     pub loop_fuse: bool,
-    /// Columnar tuple storage ([`ade_interp::ExecConfig::soa`]).
-    pub soa: bool,
 }
 
 impl Default for InterpOpts {
     fn default() -> InterpOpts {
         InterpOpts {
             fuse: true,
-            unbox: true,
             loop_fuse: true,
-            soa: true,
         }
     }
 }
@@ -249,9 +243,7 @@ pub fn try_run_benchmark_cell_cancellable(
     let mut exec = config.exec.clone();
     exec.profile = profile;
     exec.fuse = opts.fuse;
-    exec.unbox = opts.unbox;
     exec.loop_fuse = opts.loop_fuse;
-    exec.soa = opts.soa;
     if let Some(fuel) = fuel_override {
         exec.fuel = Some(fuel);
     }
@@ -346,9 +338,7 @@ pub fn try_run_feedback_cell(
     ade_ir::verify::verify_module(&module).map_err(|e| CellError::Verify(e.to_string()))?;
     let mut exec = config.exec.clone();
     exec.fuse = opts.fuse;
-    exec.unbox = opts.unbox;
     exec.loop_fuse = opts.loop_fuse;
-    exec.soa = opts.soa;
     let decoded = ade_interp::DecodedModule::decode_with(
         &module,
         &ade_interp::DecodeOptions {

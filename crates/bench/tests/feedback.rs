@@ -31,23 +31,9 @@ fn feedback_figure_is_byte_identical_across_job_counts() {
 
 #[test]
 fn feedback_figure_is_byte_identical_across_interp_opts() {
-    let combos = [
-        InterpOpts {
-            fuse: false,
-            unbox: false,
-            loop_fuse: false,
-            soa: false,
-        },
-        InterpOpts {
-            fuse: true,
-            unbox: false,
-            loop_fuse: true,
-            soa: false,
-        },
-        InterpOpts::default(),
-    ];
     let mut reference: Option<String> = None;
-    for opts in combos {
+    for (fuse, loop_fuse) in [(false, false), (true, false), (false, true), (true, true)] {
+        let opts = InterpOpts { fuse, loop_fuse };
         let mut session = Session::new(4).include_wall(false).interp_opts(opts);
         let text = session.feedback_rq();
         match &reference {

@@ -1,10 +1,12 @@
-//! Superinstruction fusion, unboxed scalar storage, loop-granular
-//! stream fusion and columnar (SoA) tuple storage must be invisible
-//! everywhere except wall time: every figure byte, operation count,
-//! program output (checksums), memory highwater and per-site profile is
-//! identical across all sixteen `InterpOpts` combinations. These tests
-//! are the tentpole's safety net — never weaken them to make a change
-//! pass.
+//! Superinstruction fusion and loop-granular stream fusion must be
+//! invisible everywhere except wall time: every figure byte, operation
+//! count, program output (checksums), memory highwater and per-site
+//! profile is identical across all four `InterpOpts` combinations.
+//! (Collection storage is not a toggle: it follows from each
+//! collection's static type, and the collection-level twin tests in
+//! `ade-interp` compare every unboxed and columnar backend with its
+//! boxed fallback op by op.) These tests are the optimizations' safety
+//! net — never weaken them to make a change pass.
 
 use ade_bench::figures::{cells_for_target, Session};
 use ade_bench::runner::{try_run_benchmark_cell, InterpOpts};
@@ -12,33 +14,25 @@ use ade_workloads::bench::benchmark_by_abbrev;
 
 const SCALE: u32 = 5;
 
-/// All sixteen fuse × unbox × loop_fuse × soa combinations, the all-off
-/// baseline first.
+/// All four fuse × loop_fuse combinations, the all-off baseline first.
 fn combos() -> impl Iterator<Item = InterpOpts> {
-    (0u8..16).map(|b| InterpOpts {
+    (0u8..4).map(|b| InterpOpts {
         fuse: b & 1 != 0,
-        unbox: b & 2 != 0,
-        loop_fuse: b & 4 != 0,
-        soa: b & 8 != 0,
+        loop_fuse: b & 2 != 0,
     })
 }
 
 const ALL_OFF: InterpOpts = InterpOpts {
     fuse: false,
-    unbox: false,
     loop_fuse: false,
-    soa: false,
 };
 
 fn combo_name(o: InterpOpts) -> String {
-    format!(
-        "fuse={} unbox={} loop_fuse={} soa={}",
-        o.fuse, o.unbox, o.loop_fuse, o.soa
-    )
+    format!("fuse={} loop_fuse={}", o.fuse, o.loop_fuse)
 }
 
 /// Fig. 5 text (wall ratios suppressed) is byte-identical under every
-/// combination of the four interpreter optimizations.
+/// combination of the two interpreter optimizations.
 #[test]
 fn fig5_text_is_byte_identical_across_interp_opts() {
     let mut reference: Option<String> = None;
@@ -60,7 +54,7 @@ fn fig5_text_is_byte_identical_across_interp_opts() {
 
 /// Every fig5 cell carries identical per-phase operation counts,
 /// program output (order-insensitive checksums) and memory highwater
-/// for every combination of the four optimizations.
+/// for every combination of the two optimizations.
 #[test]
 fn cell_stats_match_exactly_across_interp_opts() {
     let cells = cells_for_target("fig5");
@@ -124,7 +118,7 @@ fn site_profiles_are_identical_fused_vs_unfused() {
 }
 
 /// A fuel budget that trips mid-loop must trip at the identical point
-/// whether loop fusion or columnar storage is on: bulk kernels never
+/// whether loop fusion or superinstruction fusion is on: neither ever
 /// change where a limit (or any trap) lands. Sweeps budgets from
 /// "trips immediately" through "completes" and requires bit-identical
 /// outcomes — same error text on the trapping side, same output/stats
@@ -146,7 +140,7 @@ fn fuel_trap_point_is_identical_with_and_without_loop_fusion() {
                 ..ALL_OFF
             },
             InterpOpts {
-                soa: true,
+                fuse: true,
                 ..ALL_OFF
             },
             InterpOpts::default(),

@@ -90,27 +90,37 @@ fn metrics_snapshot_validates() {
 /// The interpreter's metrics snapshot counts one backend instantiation
 /// per collection by kind (`exec_backend_selected_total{kind=…}`),
 /// including the columnar (SoA) kinds, and the snapshot is
-/// byte-deterministic: two identical runs render identical JSON.
+/// byte-deterministic: two identical runs render identical JSON. The
+/// kind follows from the static type alone: a sequence of scalar pairs
+/// selects the columnar backend, a sequence of `(u64, str)` pairs the
+/// boxed fallback.
 #[test]
 fn backend_selection_metrics_are_deterministic_by_kind() {
     use ade_interp::{ExecConfig, Interpreter};
     use ade_ir::builder::FunctionBuilder;
     use ade_ir::{BinOp, Module, Operand, Type};
 
-    let build = || {
+    // Fills a `Seq<(u64, second)>` with 64 rows `(i, second_field)` and
+    // sums field 0.
+    let build = |second: Type| {
         let mut b = FunctionBuilder::new("main", &[], Type::Void);
-        let pair = Type::Tuple(vec![Type::U64, Type::U64]);
+        let pair = Type::Tuple(vec![Type::U64, second.clone()]);
         let seq = b.new_collection(Type::seq(pair));
         let lo = b.const_u64(0);
         let hi = b.const_u64(64);
         let seq = b.for_range(lo, hi, &[seq], |b, i, c| {
-            let t = b.make_tuple(&[i, i]);
+            let field = if second == Type::Str {
+                b.const_str("s")
+            } else {
+                i
+            };
+            let t = b.make_tuple(&[i, field]);
             vec![b.push(c[0], t)]
         })[0];
         let zero = b.const_u64(0);
         let sum = b.for_each(seq, &[zero], |b, _i, v, c| {
             let t = v.expect("bound");
-            vec![b.bin_at(BinOp::Add, c[0], Operand::field(t, 1))]
+            vec![b.bin_at(BinOp::Add, c[0], Operand::field(t, 0))]
         })[0];
         b.print(&[sum]);
         b.ret_void();
@@ -119,38 +129,49 @@ fn backend_selection_metrics_are_deterministic_by_kind() {
         module
     };
 
-    let snapshot = |soa: bool| {
+    let snapshot = |second: Type| {
         let m = MetricsRegistry::enabled();
         let config = ExecConfig {
-            soa,
             metrics: m.clone(),
             ..ExecConfig::default()
         };
-        Interpreter::new(&build(), config)
+        Interpreter::new(&build(second), config)
             .run_inline("main")
             .expect("kernel runs");
         m.snapshot().to_json(false)
     };
 
-    let with_soa = snapshot(true);
-    json::validate(&with_soa).expect("metrics snapshot is valid JSON");
+    let scalar_pairs = snapshot(Type::U64);
+    json::validate(&scalar_pairs).expect("metrics snapshot is valid JSON");
     assert!(
-        with_soa.contains("exec_backend_selected_total{kind=\\\"soa_seq\\\"}")
-            || with_soa.contains("soa_seq"),
-        "SoA kind counted: {with_soa}"
+        scalar_pairs.contains("exec_backend_selected_total{kind=\\\"soa_seq\\\"}"),
+        "scalar-tuple sequence counted as SoA: {scalar_pairs}"
     );
-    assert_eq!(with_soa, snapshot(true), "snapshot must be deterministic");
+    assert!(
+        !scalar_pairs.contains("kind=\\\"seq\\\""),
+        "no boxed sequence for scalar tuples: {scalar_pairs}"
+    );
+    assert_eq!(
+        scalar_pairs,
+        snapshot(Type::U64),
+        "snapshot must be deterministic"
+    );
 
-    let without_soa = snapshot(false);
+    let stringy_pairs = snapshot(Type::Str);
+    json::validate(&stringy_pairs).expect("metrics snapshot is valid JSON");
     assert!(
-        without_soa.contains("exec_backend_selected_total"),
-        "backend instantiations counted: {without_soa}"
+        stringy_pairs.contains("exec_backend_selected_total{kind=\\\"seq\\\"}"),
+        "non-scalar tuple sequence counted as boxed: {stringy_pairs}"
     );
     assert!(
-        !without_soa.contains("soa"),
-        "no SoA backend without `soa`: {without_soa}"
+        !stringy_pairs.contains("soa"),
+        "no SoA backend for a non-scalar tuple: {stringy_pairs}"
     );
-    assert_eq!(without_soa, snapshot(false), "snapshot must be deterministic");
+    assert_eq!(
+        stringy_pairs,
+        snapshot(Type::Str),
+        "snapshot must be deterministic"
+    );
 }
 
 #[test]

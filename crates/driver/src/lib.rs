@@ -107,17 +107,10 @@ pub struct Options {
     /// and traps are identical either way — the flag exists to isolate
     /// the dispatch optimization when debugging the interpreter.
     pub fuse: bool,
-    /// Store scalar-typed collections unboxed (`--no-unbox` clears it;
-    /// default: on). Observationally inert like `fuse`.
-    pub unbox: bool,
     /// Compile straight-line collection loops into bulk backend kernels
     /// at decode time (`--no-loop-fuse` clears it; default: on).
     /// Observationally inert like `fuse`.
     pub loop_fuse: bool,
-    /// Store tuple-of-scalar collections as columns (structure of
-    /// arrays; `--no-soa` clears it; default: on). Observationally
-    /// inert like `fuse`.
-    pub soa: bool,
 }
 
 impl Default for Options {
@@ -139,9 +132,7 @@ impl Default for Options {
             max_depth: None,
             deadline_ms: None,
             fuse: true,
-            unbox: true,
             loop_fuse: true,
-            soa: true,
         }
     }
 }
@@ -308,9 +299,7 @@ pub fn drive(source: &str, options: &Options) -> Result<DriveOutput, DriveError>
         exec.max_heap_cells = options.max_heap_cells.or(exec.max_heap_cells);
         exec.max_depth = options.max_depth.or(exec.max_depth);
         exec.fuse = options.fuse && exec.fuse;
-        exec.unbox = options.unbox && exec.unbox;
         exec.loop_fuse = options.loop_fuse && exec.loop_fuse;
-        exec.soa = options.soa && exec.soa;
         let metrics = options.metrics.as_ref().map(|_| MetricsRegistry::enabled());
         if let Some(m) = &metrics {
             exec.metrics = m.clone();
@@ -393,10 +382,9 @@ fn format_stats(stats: &ade_interp::Stats) -> String {
 pub const USAGE: &str = "\
 usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
             [--fuel N] [--max-heap-cells N] [--max-depth N]
-            [--deadline-ms N] [--no-fuse] [--no-unbox] [--no-loop-fuse]
-            [--no-soa] [--trace[=FILE]] [--trace-json FILE] [--profile FILE]
-            [--metrics FILE] [--profile-in FILE] [--explain[=FILE]]
-            INPUT.memoir
+            [--deadline-ms N] [--no-fuse] [--no-loop-fuse] [--trace[=FILE]]
+            [--trace-json FILE] [--profile FILE] [--metrics FILE]
+            [--profile-in FILE] [--explain[=FILE]] INPUT.memoir
 
   --config NAME, -c    artifact configuration (memoir, ade, ade-sparse, ...)
   --run, -r            execute the program after compilation
@@ -411,12 +399,8 @@ usage: adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
                        stable `deadline` reason code and exit 1)
   --no-fuse            disable interpreter superinstruction fusion (counts,
                        figures and traps are identical; isolates dispatch)
-  --no-unbox           disable unboxed scalar collection storage (identical
-                       observables; isolates the storage representation)
   --no-loop-fuse       disable bulk collection-loop kernels (identical
                        observables; isolates loop-granular stream fusion)
-  --no-soa             disable columnar (structure-of-arrays) tuple storage
-                       (identical observables; isolates the tuple layout)
   --trace[=FILE]       human-readable pass/decision log to stderr (or FILE)
   --trace-json FILE    machine-readable trace events as JSON
   --profile FILE       per-site interpreter profile as JSON (implies --run);
@@ -497,9 +481,7 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<Cli, String> {
                 options.deadline_ms = Some(ms);
             }
             "--no-fuse" => options.fuse = false,
-            "--no-unbox" => options.unbox = false,
             "--no-loop-fuse" => options.loop_fuse = false,
-            "--no-soa" => options.soa = false,
             "--trace" => options.trace = TraceMode::Stderr,
             "--trace-json" => {
                 options.trace_json = Some(args.next().ok_or("missing value for --trace-json")?);
@@ -819,43 +801,28 @@ fn @main() -> u64 {
 
     #[test]
     fn cli_optimization_toggles_parse_and_stay_inert() {
-        let (opts, _) = parse_drive(&[
-            "--no-fuse",
-            "--no-unbox",
-            "--no-loop-fuse",
-            "--no-soa",
-            "p.memoir",
-        ])
-        .expect("parses");
-        assert!(!opts.fuse && !opts.unbox && !opts.loop_fuse && !opts.soa);
+        let (opts, _) = parse_drive(&["--no-fuse", "--no-loop-fuse", "p.memoir"]).expect("parses");
+        assert!(!opts.fuse && !opts.loop_fuse);
 
-        let run = |fuse: bool, unbox: bool, loop_fuse: bool, soa: bool| {
+        let run = |fuse: bool, loop_fuse: bool| {
             drive(
                 PROGRAM,
                 &Options {
                     run: true,
                     fuse,
-                    unbox,
                     loop_fuse,
-                    soa,
                     ..Options::default()
                 },
             )
             .expect("drives")
             .program_output
         };
-        let reference = run(true, true, true, true);
-        for (fuse, unbox, loop_fuse, soa) in [
-            (false, false, false, false),
-            (false, true, true, true),
-            (true, false, true, true),
-            (true, true, false, true),
-            (true, true, true, false),
-        ] {
+        let reference = run(true, true);
+        for (fuse, loop_fuse) in [(false, false), (false, true), (true, false)] {
             assert_eq!(
-                run(fuse, unbox, loop_fuse, soa),
+                run(fuse, loop_fuse),
                 reference,
-                "fuse={fuse} unbox={unbox} loop_fuse={loop_fuse} soa={soa}"
+                "fuse={fuse} loop_fuse={loop_fuse}"
             );
         }
     }

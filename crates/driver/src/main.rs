@@ -3,9 +3,9 @@
 //! ```text
 //! adec [--config NAME] [--run] [--emit-ir] [--stats] [--entry F]
 //!      [--fuel N] [--max-heap-cells N] [--max-depth N] [--no-fuse]
-//!      [--no-unbox] [--no-loop-fuse] [--no-soa] [--trace[=FILE]]
-//!      [--trace-json FILE] [--profile FILE] [--metrics FILE]
-//!      [--profile-in FILE] [--explain[=FILE]] INPUT.memoir
+//!      [--no-loop-fuse] [--trace[=FILE]] [--trace-json FILE]
+//!      [--profile FILE] [--metrics FILE] [--profile-in FILE]
+//!      [--explain[=FILE]] INPUT.memoir
 //! ```
 //!
 //! With no action flags the transformed IR is printed (`--emit-ir`).
@@ -23,10 +23,10 @@
 //! costs, winner, deciding term).
 //! `--fuel`/`--max-heap-cells`/`--max-depth` bound execution; a tripped
 //! limit reports a typed error, like any guest trap. `--no-fuse` turns
-//! off interpreter superinstruction fusion, `--no-unbox` boxed-width
-//! scalar storage, `--no-loop-fuse` bulk collection-loop kernels,
-//! `--no-soa` columnar tuple storage (all observationally inert; for
-//! isolating one optimization at a time).
+//! off interpreter superinstruction fusion and `--no-loop-fuse` bulk
+//! collection-loop kernels (both observationally inert; for isolating
+//! one optimization at a time). Collection storage is not a flag: it
+//! follows from each collection's static type.
 //!
 //! Exit codes: 0 success; 1 guest trap or limit at runtime; 2 usage
 //! error (bad flags, unknown `--config`, unreadable input, an invalid

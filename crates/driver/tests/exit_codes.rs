@@ -37,9 +37,7 @@ fn optimization_toggles_are_accepted_and_listed_in_help() {
         "ade",
         "--run",
         "--no-fuse",
-        "--no-unbox",
         "--no-loop-fuse",
-        "--no-soa",
         &sample(),
     ]);
     assert_eq!(code, 0, "{err}");
@@ -50,8 +48,12 @@ fn optimization_toggles_are_accepted_and_listed_in_help() {
         .expect("adec runs");
     assert_eq!(out.status.code(), Some(0));
     let help = String::from_utf8_lossy(&out.stdout);
-    for flag in ["--no-fuse", "--no-unbox", "--no-loop-fuse", "--no-soa"] {
+    for flag in ["--no-fuse", "--no-loop-fuse"] {
         assert!(help.contains(flag), "--help must list {flag}");
+    }
+    // Storage follows from the static type; there is no flag for it.
+    for flag in ["--no-unbox", "--no-soa"] {
+        assert!(!help.contains(flag), "--help must not list {flag}");
     }
 }
 
@@ -59,6 +61,12 @@ fn optimization_toggles_are_accepted_and_listed_in_help() {
 fn usage_errors_are_two() {
     let (code, err) = adec(&["--nope"]);
     assert_eq!(code, 2, "{err}");
+
+    // The retired storage switches are unknown flags like any other.
+    for flag in ["--no-unbox", "--no-soa"] {
+        let (code, err) = adec(&["--config", "ade", "--run", flag, &sample()]);
+        assert_eq!(code, 2, "{flag}: {err}");
+    }
 
     let (code, err) = adec(&["--config", "turbo", "--run", &sample()]);
     assert_eq!(code, 2, "unknown configuration is a usage-class error: {err}");

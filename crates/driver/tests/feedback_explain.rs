@@ -71,13 +71,11 @@ fn profile_round_trips_into_explain() {
 
 #[test]
 fn explain_report_is_byte_identical_across_runs_and_interp_opts() {
-    let combos: [&[&str]; 6] = [
+    let combos: [&[&str]; 4] = [
         &[],
         &["--no-fuse"],
-        &["--no-unbox"],
         &["--no-loop-fuse"],
-        &["--no-soa"],
-        &["--no-fuse", "--no-unbox", "--no-loop-fuse", "--no-soa"],
+        &["--no-fuse", "--no-loop-fuse"],
     ];
     let mut reference: Option<String> = None;
     for (i, combo) in combos.iter().enumerate() {

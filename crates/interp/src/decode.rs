@@ -3136,10 +3136,11 @@ fn spec_tag(ty: &Type) -> Option<SpecTag> {
     }
 }
 
-/// The unboxed backend a collection type selects under the default
-/// configuration (`unbox` on, hash defaults). The live heap cell is
-/// re-checked at loop entry, so a run under any other configuration
-/// simply abandons the specialization there.
+/// The unboxed backend a collection type selects under hash selection
+/// defaults (storage follows from the static type; see
+/// [`crate::Collection::new_for`]). The live heap cell is re-checked at
+/// loop entry, so a run under other defaults simply abandons the
+/// specialization there.
 fn spec_backend(ty: &Type) -> Option<GroupInfo> {
     match ty {
         Type::Seq(elem) => match spec_tag(elem) {

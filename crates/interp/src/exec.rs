@@ -9,6 +9,7 @@
 //! tree-walking core: the same [`CollOp`] bumps in the same phases, one
 //! fuel tick per executed instruction.
 
+use std::convert::Infallible;
 use std::fmt;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -60,19 +61,6 @@ pub struct ExecConfig {
     /// (fuel, profiling, a depth limit) routes bulk headers through the
     /// generic per-instruction loop.
     pub loop_fuse: bool,
-    /// Select unboxed monomorphic storage when a collection's static
-    /// element/key types are scalar (default `true`; see
-    /// [`Collection::new_for`]). Observationally inert: unboxed
-    /// backends report the boxed twin's [`ImplKind`] and byte
-    /// accounting and preserve iteration order.
-    pub unbox: bool,
-    /// Select columnar structure-of-arrays storage when a collection's
-    /// static element (or map payload) type is a tuple of scalars
-    /// (default `true`; see [`Collection::new_for`]). Observationally
-    /// inert like `unbox`: SoA backends report the boxed twin's
-    /// [`ImplKind`] and byte accounting, keep its hash/iteration order,
-    /// and rematerialize boxed tuples on any escaping read.
-    pub soa: bool,
     /// Runtime metrics registry (default disabled). When enabled, the
     /// run publishes quantum grants (`exec_quanta_total`), counted fuel
     /// ticks (`exec_fuel_ticks_total`; see [`Outcome::fuel_ticks`] for
@@ -98,9 +86,7 @@ impl Default for ExecConfig {
             max_depth: None,
             profile: false,
             fuse: true,
-            unbox: true,
             loop_fuse: true,
-            soa: true,
             metrics: ade_obs::MetricsRegistry::disabled(),
             flight: None,
         }
@@ -599,7 +585,7 @@ impl<'m> Interpreter<'m> {
                 });
             }
         }
-        let coll = Collection::new_for(ty, self.config.defaults, self.config.unbox, self.config.soa);
+        let coll = Collection::new_for(ty, self.config.defaults);
         self.config
             .metrics
             .add("exec_backend_selected_total", &[("kind", coll.kind_label())], 1);
@@ -2558,10 +2544,7 @@ impl<'m> Interpreter<'m> {
             FastKind::FilterReduce { .. } => {
                 self.fast_filter_reduce(fid, frame, src, fast, acc_slot)
             }
-            FastKind::ProbeCount { set } => {
-                let has_site = plan.ops[0].site;
-                self.fast_probe_count(fid, frame, src, set, has_site, acc_slot)
-            }
+            FastKind::ProbeCount { set } => self.fast_probe_count(frame, src, set, acc_slot),
             FastKind::CopyInto => {
                 let insert_site = plan.ops[0].site;
                 self.fast_copy_into(fid, frame, src, insert_site, acc_slot)
@@ -2595,24 +2578,6 @@ impl<'m> Interpreter<'m> {
         }
     }
 
-    /// Streams `src`'s values (in iteration order) through a fallible
-    /// fold. Callers have already checked that `src` is a value-stream
-    /// source (sequence or dense map).
-    fn stream_fold(
-        &self,
-        src: CollId,
-        acc0: Value,
-        mut step: impl FnMut(Value, &Value) -> Result<Value, ExecError>,
-    ) -> Result<Value, ExecError> {
-        match &self.heap[src.0 as usize] {
-            Collection::Seq(s) => s.try_fold(acc0, &mut step),
-            Collection::UnboxedSeq(s) => s.try_fold(acc0, |a, sv| step(a, &sv.to_value())),
-            Collection::BitMap(m) => m.try_fold_values(acc0, &mut step),
-            Collection::UnboxedBitMap(m) => m.try_fold_values(acc0, |a, sv| step(a, &sv.to_value())),
-            _ => unreachable!("caller checked the source variant"),
-        }
-    }
-
     /// `acc = op(acc, elem)` over every streamed value: the unboxed u64
     /// storage gets a tight slice/word loop; everything else streams
     /// through [`eval_bin`] with the unfused loop's exact trap behavior.
@@ -2626,9 +2591,6 @@ impl<'m> Interpreter<'m> {
         site: u32,
         acc_slot: u32,
     ) -> Result<bool, ExecError> {
-        if !is_stream_src(&self.heap[src.0 as usize]) {
-            return Ok(false);
-        }
         let acc0 = frame[acc_slot as usize].clone();
         let fastened = match (&self.heap[src.0 as usize], &acc0) {
             (Collection::UnboxedSeq(s), Value::U64(a0)) => {
@@ -2643,10 +2605,14 @@ impl<'m> Interpreter<'m> {
             Some(r) => Value::U64(r),
             None => {
                 let site = site as usize;
-                self.stream_fold(src, acc0, |acc, v| {
+                let folded = self.heap[src.0 as usize].try_fold_stream(acc0, |acc, v| {
                     let (l, r) = if elem_first { (v, &acc) } else { (&acc, v) };
                     eval_bin(op, l, r).map_err(|k| self.trap_at(fid, site, k))
-                })?
+                });
+                match folded {
+                    Some(acc) => acc?,
+                    None => return Ok(false),
+                }
             }
         };
         frame[acc_slot as usize] = acc;
@@ -2677,9 +2643,6 @@ impl<'m> Interpreter<'m> {
         else {
             unreachable!()
         };
-        if !is_stream_src(&self.heap[src.0 as usize]) {
-            return Ok(false);
-        }
         let acc0 = frame[acc_slot as usize].clone();
         let rhs_val = frame[rhs as usize].clone();
         let other_val = if bin_elem {
@@ -2729,7 +2692,7 @@ impl<'m> Interpreter<'m> {
             Some(r) => Value::U64(r),
             None => {
                 let site = bin_site as usize;
-                self.stream_fold(src, acc0, |acc, v| {
+                let folded = self.heap[src.0 as usize].try_fold_stream(acc0, |acc, v| {
                     let c = if elem_lhs {
                         eval_cmp(cmp, v, &rhs_val)
                     } else {
@@ -2741,7 +2704,11 @@ impl<'m> Interpreter<'m> {
                     let x = if bin_elem { v } else { &other_val };
                     let (l, r) = if acc_lhs { (&acc, x) } else { (x, &acc) };
                     eval_bin(bin, l, r).map_err(|k| self.trap_at(fid, site, k))
-                })?
+                });
+                match folded {
+                    Some(acc) => acc?,
+                    None => return Ok(false),
+                }
             }
         };
         frame[acc_slot as usize] = acc;
@@ -2753,11 +2720,9 @@ impl<'m> Interpreter<'m> {
     /// membership on the hash backends.
     fn fast_probe_count(
         &mut self,
-        fid: FuncId,
         frame: &mut Vec<Value>,
         src: CollId,
         set: u32,
-        has_site: u32,
         acc_slot: u32,
     ) -> Result<bool, ExecError> {
         let Value::U64(a0) = frame[acc_slot as usize] else {
@@ -2772,13 +2737,9 @@ impl<'m> Interpreter<'m> {
         if !matches!(set_imp, ImplKind::HashSet | ImplKind::SwissSet) {
             return Ok(false);
         }
-        if !is_stream_src(&self.heap[src.0 as usize]) {
-            return Ok(false);
-        }
-        let n = self.heap[src.0 as usize].len() as u64;
-        self.bump(set_imp, CollOp::Has, n);
         let src_ref = &self.heap[src.0 as usize];
         let set_ref = &self.heap[set_id.0 as usize];
+        let n = src_ref.len() as u64;
         let hits = match (src_ref, set_ref) {
             // Aligned unboxed pair: probe the chained table's groups
             // directly over the packed element slice.
@@ -2788,30 +2749,16 @@ impl<'m> Interpreter<'m> {
             (Collection::Seq(s), Collection::SwissSet(ss)) => ss.contains_batch(s.as_slice()),
             (Collection::Seq(s), Collection::HashSet(hs)) => hs.contains_batch(s.as_slice()),
             (src_ref, set_ref) => {
-                let mut hits = 0u64;
-                let probe = |v: &Value| set_ref.try_has(v).unwrap_or(false);
-                match src_ref {
-                    Collection::Seq(s) => {
-                        hits += s.iter().filter(|v| probe(v)).count() as u64;
-                    }
-                    Collection::UnboxedSeq(s) => {
-                        hits += s
-                            .iter()
-                            .filter(|sv| probe(&sv.to_value()))
-                            .count() as u64;
-                    }
-                    Collection::BitMap(m) => {
-                        hits += m.values().filter(|v| probe(v)).count() as u64;
-                    }
-                    Collection::UnboxedBitMap(m) => {
-                        hits += m.values().filter(|sv| probe(&sv.to_value())).count() as u64;
-                    }
-                    _ => unreachable!("caller checked the source variant"),
-                }
+                let counted = src_ref.try_fold_stream(0u64, |hits, v| {
+                    Ok::<_, Infallible>(hits + u64::from(set_ref.try_has(v).unwrap_or(false)))
+                });
+                let Some(Ok(hits)) = counted else {
+                    return Ok(false);
+                };
                 hits
             }
         };
-        let _ = (fid, has_site);
+        self.bump(set_imp, CollOp::Has, n);
         frame[acc_slot as usize] = Value::U64(a0.wrapping_add(hits));
         Ok(true)
     }
@@ -2838,11 +2785,7 @@ impl<'m> Interpreter<'m> {
         if !matches!(dst_imp, ImplKind::HashSet | ImplKind::SwissSet) {
             return Ok(false);
         }
-        if !is_stream_src(&self.heap[src.0 as usize]) {
-            return Ok(false);
-        }
         let n = self.heap[src.0 as usize].len() as u64;
-        self.bump(dst_imp, CollOp::Insert, n);
         let (dst_mut, src_ref) = two_heap(&mut self.heap, dst_id, src);
         let failed: Option<TrapKind> = match (dst_mut, src_ref) {
             (Collection::UnboxedHashSet(hs), Collection::UnboxedSeq(s)) => {
@@ -2858,19 +2801,14 @@ impl<'m> Interpreter<'m> {
                 None
             }
             (dst_mut, src_ref) => {
-                let mut step = |v: Value| dst_mut.try_insert_elem(v).map(|_| ());
-                let r: Result<(), TrapKind> = match src_ref {
-                    Collection::Seq(s) => s.try_fold((), |(), v| step(v.clone())),
-                    Collection::UnboxedSeq(s) => s.try_fold((), |(), sv| step(sv.to_value())),
-                    Collection::BitMap(m) => m.try_fold_values((), |(), v| step(v.clone())),
-                    Collection::UnboxedBitMap(m) => {
-                        m.try_fold_values((), |(), sv| step(sv.to_value()))
-                    }
-                    _ => unreachable!("caller checked the source variant"),
-                };
-                r.err()
+                let insert = |(), v: &Value| dst_mut.try_insert_elem(v.clone()).map(|_| ());
+                match src_ref.try_fold_stream((), insert) {
+                    Some(r) => r.err(),
+                    None => return Ok(false),
+                }
             }
         };
+        self.bump(dst_imp, CollOp::Insert, n);
         if let Some(k) = failed {
             return Err(self.trap_at(fid, insert_site as usize, k));
         }
@@ -2903,9 +2841,6 @@ impl<'m> Interpreter<'m> {
         if !matches!(dst_imp, ImplKind::HashSet | ImplKind::SwissSet) {
             return Ok(false);
         }
-        if !is_stream_src(&self.heap[src.0 as usize]) {
-            return Ok(false);
-        }
         let rhs_val = frame[rhs as usize].clone();
         let (dst_mut, src_ref) = two_heap(&mut self.heap, dst_id, src);
         let mut count = 0u64;
@@ -2924,12 +2859,8 @@ impl<'m> Interpreter<'m> {
             }
             Ok(())
         };
-        let r: Result<(), TrapKind> = match src_ref {
-            Collection::Seq(s) => s.try_fold((), |(), v| step(v)),
-            Collection::UnboxedSeq(s) => s.try_fold((), |(), sv| step(&sv.to_value())),
-            Collection::BitMap(m) => m.try_fold_values((), |(), v| step(v)),
-            Collection::UnboxedBitMap(m) => m.try_fold_values((), |(), sv| step(&sv.to_value())),
-            _ => unreachable!("caller checked the source variant"),
+        let Some(r) = src_ref.try_fold_stream((), |(), v| step(v)) else {
+            return Ok(false);
         };
         drop(step);
         // On a trap the run's statistics are discarded with the error,
@@ -2968,8 +2899,7 @@ impl<'m> Interpreter<'m> {
                 self.fast_proj_filter_reduce(fid, frame, src, fast, proj, acc_slot)
             }
             FastKind::ProbeCount { set } => {
-                let has_site = plan.ops[1].site;
-                self.fast_proj_probe_count(fid, frame, src, set, has_site, proj.elem, acc_slot)
+                self.fast_proj_probe_count(frame, src, set, proj.elem, acc_slot)
             }
             FastKind::CopyInto => {
                 let insert_site = plan.ops[1].site;
@@ -3137,14 +3067,11 @@ impl<'m> Interpreter<'m> {
 
     /// `acc += has(set, t.field) as u64` streaming one column into the
     /// membership probes.
-    #[allow(clippy::too_many_arguments)]
     fn fast_proj_probe_count(
         &mut self,
-        fid: FuncId,
         frame: &mut Vec<Value>,
         src: CollId,
         set: u32,
-        has_site: u32,
         field: u32,
         acc_slot: u32,
     ) -> Result<bool, ExecError> {
@@ -3176,7 +3103,6 @@ impl<'m> Interpreter<'m> {
                 .filter(|sv| set_ref.try_has(&sv.to_value()).unwrap_or(false))
                 .count() as u64,
         };
-        let _ = (fid, has_site);
         frame[acc_slot as usize] = Value::U64(a0.wrapping_add(hits));
         Ok(true)
     }
@@ -3500,18 +3426,6 @@ fn eval_cast(a: &Value, ty: &Type) -> Result<Value, TrapKind> {
             })
         }
     })
-}
-
-/// Collections whose values bulk kernels can stream in iteration order:
-/// sequences (index order) and dense maps (ascending key order).
-fn is_stream_src(c: &Collection) -> bool {
-    matches!(
-        c,
-        Collection::Seq(_)
-            | Collection::UnboxedSeq(_)
-            | Collection::BitMap(_)
-            | Collection::UnboxedBitMap(_)
-    )
 }
 
 /// The named column of a columnar-sequence heap cell, when `c` is one

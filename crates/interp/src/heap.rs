@@ -1,5 +1,19 @@
 //! Runtime collections: one enum dispatching to the Table I
 //! implementations, selected from the static type annotation.
+//!
+//! Storage representation is a pure function of the static type at
+//! creation time ([`Collection::new_for`]): a collection whose
+//! elements (or keys and payloads) are scalars stores unboxed
+//! [`ScalarVal`]s, one whose elements (or map payloads) are tuples of
+//! scalars stores them columnar or as packed [`ScalarRow`]s, and the
+//! boxed [`Value`] backends are the general fallback. The four backend
+//! families shared by the twins — [`ArraySeq`], [`ChainedHashSet`],
+//! [`ChainedHashMap`] and [`BitMap`] — have each op written once,
+//! generic over the element representation ([`Repr`]).
+
+use std::borrow::Cow;
+use std::hash::Hash;
+use std::mem::size_of;
 
 use ade_collections::{
     ArraySeq, BitMap, ChainedHashMap, ChainedHashSet, ColumnMap, ColumnSeq, DynamicBitSet,
@@ -113,69 +127,309 @@ fn soa_arity(ty: &Type) -> Option<usize> {
     }
 }
 
-/// Packs a value for an unboxed *store* (insert/write). Conversion can
-/// only fail on IR the verifier would reject (a non-scalar flowing into
-/// a scalar-typed collection), where the boxed twin would silently
-/// store the mistyped value; the unboxed backend traps instead.
-fn unbox_store(value: &Value) -> Result<ScalarVal, TrapKind> {
-    ScalarVal::from_value(value).ok_or_else(|| TrapKind::TypeMismatch {
-        expected: "unboxed scalar",
-        got: format!("{value:?}"),
-    })
+/// How an element, key or payload is represented inside one of the
+/// backend families shared by the boxed collections and their twins.
+/// The family ops below are written once over this trait, so a twin
+/// differs from its boxed fallback only in these three conversions.
+trait Repr: Clone + Eq + Hash {
+    /// Packs a value for a *store* (insert/write). Packing can only
+    /// fail on IR the verifier would reject (a mistyped value flowing
+    /// into a scalar- or tuple-typed collection), where boxed storage
+    /// would silently keep the mistyped value; packed storage traps.
+    fn store(value: Value) -> Result<Self, TrapKind>;
+    /// The form a lookup key takes: borrowed for boxed storage, so a
+    /// lookup never clones a boxed key; packed otherwise. `None` when
+    /// the key cannot equal any stored element, so the lookup misses —
+    /// the answer boxed storage gives, since only storable values are
+    /// ever stored.
+    fn probe(key: &Value) -> Option<Cow<'_, Self>>;
+    /// Rematerializes the boxed value.
+    fn load(&self) -> Value;
 }
 
-/// Packs a tuple for an SoA hash-backend *store*. Like [`unbox_store`],
-/// failure means IR the verifier would reject (a non-tuple flowing into
-/// a tuple-typed collection); the columnar backend traps where the
-/// boxed twin would silently store the mistyped value.
-fn soa_pack(value: &Value) -> Result<ScalarRow, TrapKind> {
-    ScalarRow::from_value(value).ok_or_else(|| TrapKind::TypeMismatch {
-        expected: "scalar tuple row",
-        got: format!("{value:?}"),
-    })
+impl Repr for Value {
+    #[inline]
+    fn store(value: Value) -> Result<Value, TrapKind> {
+        Ok(value)
+    }
+
+    #[inline]
+    fn probe(key: &Value) -> Option<Cow<'_, Value>> {
+        Some(Cow::Borrowed(key))
+    }
+
+    #[inline]
+    fn load(&self) -> Value {
+        self.clone()
+    }
 }
 
-/// [`soa_pack`] for a fixed-arity columnar target: the row must match
-/// the column count.
-fn soa_store(value: &Value, arity: usize) -> Result<ScalarRow, TrapKind> {
-    soa_pack(value).and_then(|row| {
-        if row.len() == arity {
-            Ok(row)
-        } else {
-            Err(TrapKind::TypeMismatch {
-                expected: "scalar tuple row of matching arity",
-                got: format!("{value:?}"),
-            })
-        }
-    })
+impl Repr for ScalarVal {
+    #[inline]
+    fn store(value: Value) -> Result<ScalarVal, TrapKind> {
+        ScalarVal::from_value(&value).ok_or_else(|| TrapKind::TypeMismatch {
+            expected: "unboxed scalar",
+            got: format!("{value:?}"),
+        })
+    }
+
+    #[inline]
+    fn probe(key: &Value) -> Option<Cow<'_, ScalarVal>> {
+        ScalarVal::from_value(key).map(Cow::Owned)
+    }
+
+    #[inline]
+    fn load(&self) -> Value {
+        self.to_value()
+    }
+}
+
+impl Repr for ScalarRow {
+    #[inline]
+    fn store(value: Value) -> Result<ScalarRow, TrapKind> {
+        ScalarRow::from_value(&value).ok_or_else(|| TrapKind::TypeMismatch {
+            expected: "scalar tuple row",
+            got: format!("{value:?}"),
+        })
+    }
+
+    #[inline]
+    fn probe(key: &Value) -> Option<Cow<'_, ScalarRow>> {
+        ScalarRow::from_value(key).map(Cow::Owned)
+    }
+
+    #[inline]
+    fn load(&self) -> Value {
+        self.to_value()
+    }
+}
+
+/// [`ScalarRow`]'s store for a fixed-arity columnar target: the row
+/// must also match the column count.
+fn column_store(value: Value, arity: usize) -> Result<ScalarRow, TrapKind> {
+    let row = ScalarRow::store(value)?;
+    if row.len() == arity {
+        Ok(row)
+    } else {
+        Err(TrapKind::TypeMismatch {
+            expected: "scalar tuple row of matching arity",
+            got: format!("{:?}", row.to_value()),
+        })
+    }
 }
 
 /// Rematerializes a boxed tuple from gathered column scalars.
-fn soa_tuple(row: Vec<ScalarVal>) -> Value {
+fn column_tuple(row: Vec<ScalarVal>) -> Value {
     Value::Tuple(row.into_iter().map(ScalarVal::to_value).collect())
+}
+
+/// The in-bounds position `key` names in a sequence of length `len`.
+fn seq_index(key: &Value, len: usize) -> Result<usize, TrapKind> {
+    let i = key.try_as_u64()?;
+    if i as usize >= len {
+        return Err(TrapKind::OutOfBounds { index: i, len });
+    }
+    Ok(i as usize)
+}
+
+/// The bounds check of a sequence insertion (appending at `len` is in
+/// bounds).
+fn seq_insert_index(index: usize, len: usize) -> Result<(), TrapKind> {
+    if index > len {
+        return Err(TrapKind::OutOfBounds {
+            index: index as u64,
+            len,
+        });
+    }
+    Ok(())
+}
+
+/// A key bound for a dense-implementation *insert* (or upsert): the
+/// `enc` sentinel must never materialize as a stored element — the
+/// invariant a correct ADE compilation maintains, and the trap a
+/// broken one raises.
+fn dense_key(key: &Value) -> Result<usize, TrapKind> {
+    let i = key.try_as_index()?;
+    if i == ENC_SENTINEL {
+        return Err(TrapKind::SentinelInsert);
+    }
+    Ok(i)
+}
+
+/// The trap for a keyed read of an absent key.
+fn missing(key: &Value) -> TrapKind {
+    TrapKind::MissingKey {
+        key: key.to_string(),
+    }
+}
+
+// Byte accounting: every representation is priced at the boxed entry
+// width. The figures' memory accounting is calibrated against the
+// boxed layouts, and the backends' capacity trajectories are identical
+// at every width, so a twin reports its boxed fallback's exact size.
+// Columnar backends price per boxed *row entry* the same way: all
+// columns share one capacity trajectory. (The boxed per-element
+// `Arc<[Value]>` tuple field arrays are value-owned heap data, which
+// the fast estimates exclude for every backend.)
+
+/// Boxed width of one sequence slot or dense-map payload slot.
+const BOXED_SLOT: usize = size_of::<Value>();
+/// Boxed width of one chained-hash-set entry.
+const BOXED_SET_ENTRY: usize = size_of::<(Value, ())>();
+/// Boxed width of one chained-hash-map entry.
+const BOXED_MAP_ENTRY: usize = size_of::<(Value, Value)>();
+
+// Sequences: `ArraySeq<T>`.
+
+fn seq_read<T: Repr>(s: &ArraySeq<T>, key: &Value) -> Result<Value, TrapKind> {
+    Ok(s.as_slice()[seq_index(key, s.len())?].load())
+}
+
+fn seq_write<T: Repr>(s: &mut ArraySeq<T>, key: &Value, value: Value) -> Result<(), TrapKind> {
+    let i = seq_index(key, s.len())?;
+    s.set(i, T::store(value)?);
+    Ok(())
+}
+
+fn seq_insert<T: Repr>(s: &mut ArraySeq<T>, index: usize, value: Value) -> Result<(), TrapKind> {
+    seq_insert_index(index, s.len())?;
+    let v = T::store(value)?;
+    if index == s.len() {
+        s.push(v);
+    } else {
+        s.insert(index, v);
+    }
+    Ok(())
+}
+
+fn seq_remove<T>(s: &mut ArraySeq<T>, key: &Value) -> Result<(), TrapKind> {
+    s.remove(seq_index(key, s.len())?);
+    Ok(())
+}
+
+fn seq_snapshot<T: Repr>(s: &ArraySeq<T>) -> Vec<(Value, Value)> {
+    s.iter()
+        .enumerate()
+        .map(|(i, v)| (Value::U64(i as u64), v.load()))
+        .collect()
+}
+
+// Chained hash sets: `ChainedHashSet<T>`.
+
+fn set_has<T: Repr>(s: &ChainedHashSet<T>, key: &Value) -> bool {
+    T::probe(key).is_some_and(|k| s.contains(&k))
+}
+
+fn set_insert<T: Repr>(s: &mut ChainedHashSet<T>, value: Value) -> Result<bool, TrapKind> {
+    Ok(s.insert(T::store(value)?))
+}
+
+fn set_remove<T: Repr>(s: &mut ChainedHashSet<T>, key: &Value) {
+    if let Some(k) = T::probe(key) {
+        s.remove(&k);
+    }
+}
+
+fn set_snapshot<T: Repr>(s: &ChainedHashSet<T>) -> Vec<(Value, Value)> {
+    s.iter().map(|v| (v.load(), Value::Void)).collect()
+}
+
+// Chained hash maps: `ChainedHashMap<K, V>`.
+
+fn map_has<K: Repr, V>(m: &ChainedHashMap<K, V>, key: &Value) -> bool {
+    K::probe(key).is_some_and(|k| m.contains_key(&k))
+}
+
+fn map_read<K: Repr, V: Repr>(m: &ChainedHashMap<K, V>, key: &Value) -> Result<Value, TrapKind> {
+    K::probe(key)
+        .and_then(|k| m.get(&k))
+        .map(V::load)
+        .ok_or_else(|| missing(key))
+}
+
+fn map_write<K: Repr, V: Repr>(
+    m: &mut ChainedHashMap<K, V>,
+    key: &Value,
+    value: Value,
+) -> Result<(), TrapKind> {
+    m.insert(K::store(key.clone())?, V::store(value)?);
+    Ok(())
+}
+
+fn map_insert_key_default<K: Repr, V: Repr>(
+    m: &mut ChainedHashMap<K, V>,
+    key: &Value,
+    default: Value,
+) -> Result<(), TrapKind> {
+    if !map_has(m, key) {
+        m.insert(K::store(key.clone())?, V::store(default)?);
+    }
+    Ok(())
+}
+
+fn map_remove<K: Repr, V>(m: &mut ChainedHashMap<K, V>, key: &Value) {
+    if let Some(k) = K::probe(key) {
+        m.remove(&k);
+    }
+}
+
+fn map_snapshot<K: Repr, V: Repr>(m: &ChainedHashMap<K, V>) -> Vec<(Value, Value)> {
+    m.iter().map(|(k, v)| (k.load(), v.load())).collect()
+}
+
+// Dense maps: `BitMap<T>`.
+
+fn dense_read<T: Repr + Default>(m: &BitMap<T>, key: &Value) -> Result<Value, TrapKind> {
+    m.get(key.try_as_index()?)
+        .map(T::load)
+        .ok_or_else(|| missing(key))
+}
+
+fn dense_write<T: Repr + Default>(
+    m: &mut BitMap<T>,
+    key: &Value,
+    value: Value,
+) -> Result<(), TrapKind> {
+    m.insert(dense_key(key)?, T::store(value)?);
+    Ok(())
+}
+
+fn dense_insert_key_default<T: Repr + Default>(
+    m: &mut BitMap<T>,
+    key: &Value,
+    default: Value,
+) -> Result<(), TrapKind> {
+    let i = dense_key(key)?;
+    if !m.contains_key(i) {
+        m.insert(i, T::store(default)?);
+    }
+    Ok(())
+}
+
+fn dense_snapshot<T: Repr + Default>(m: &BitMap<T>) -> Vec<(Value, Value)> {
+    m.iter().map(|(k, v)| (Value::Idx(k), v.load())).collect()
 }
 
 impl Collection {
     /// Allocates the implementation selected by `ty` (with `defaults`
-    /// resolving empty selections). When `unbox` is set and the static
-    /// element/key/value types are scalar, the chained-hash, sequence,
-    /// and dense-map backends store packed [`ScalarVal`]s instead of
-    /// boxed [`Value`]s; when `soa` is set and the element (or map
-    /// payload) type is a tuple of scalars, the same backends store
-    /// columnar [`ScalarRow`]s/columns instead — `soa` wins over
-    /// `unbox` where both could apply (they never overlap: a type is
-    /// scalar or a scalar tuple, not both). The boxed variants remain
-    /// the general fallback (and the swiss/flat/bit backends are
-    /// unaffected — the bit sets already store raw indices).
+    /// resolving empty selections). The storage representation follows
+    /// from the static type alone: where the element (or map payload)
+    /// type is a tuple of scalars, the sequence, chained-hash and
+    /// dense-map backends store columns or packed `ScalarRow`s; where
+    /// the element/key/value types are scalar, they store packed
+    /// [`ScalarVal`]s (a type is scalar or a scalar tuple, never both).
+    /// The boxed variants are the general fallback; the swiss, flat and
+    /// bit-set backends always use them (the bit sets already store raw
+    /// indices).
     ///
     /// # Panics
     ///
     /// Panics if `ty` is not a collection type.
-    pub fn new_for(ty: &Type, defaults: SelectionDefaults, unbox: bool, soa: bool) -> Collection {
+    pub fn new_for(ty: &Type, defaults: SelectionDefaults) -> Collection {
         match ty {
-            Type::Seq(elem) => match soa_arity(elem).filter(|_| soa) {
+            Type::Seq(elem) => match soa_arity(elem) {
                 Some(ar) => Collection::SoaSeq(ColumnSeq::new(ar)),
-                None if unbox && unboxable(elem) => Collection::UnboxedSeq(ArraySeq::new()),
+                None if unboxable(elem) => Collection::UnboxedSeq(ArraySeq::new()),
                 None => Collection::Seq(ArraySeq::new()),
             },
             Type::Set { elem, sel } => {
@@ -186,9 +440,9 @@ impl Collection {
                 };
                 match sel {
                     SetSel::Auto | SetSel::Hash => {
-                        if soa && soa_arity(elem).is_some() {
+                        if soa_arity(elem).is_some() {
                             Collection::SoaHashSet(ChainedHashSet::new())
-                        } else if unbox && unboxable(elem) {
+                        } else if unboxable(elem) {
                             Collection::UnboxedHashSet(ChainedHashSet::new())
                         } else {
                             Collection::HashSet(ChainedHashSet::new())
@@ -208,20 +462,18 @@ impl Collection {
                 };
                 match sel {
                     MapSel::Auto | MapSel::Hash => {
-                        if soa && unboxable(key) && soa_arity(val).is_some() {
+                        if unboxable(key) && soa_arity(val).is_some() {
                             Collection::SoaHashMap(ChainedHashMap::new())
-                        } else if unbox && unboxable(key) && unboxable(val) {
+                        } else if unboxable(key) && unboxable(val) {
                             Collection::UnboxedHashMap(ChainedHashMap::new())
                         } else {
                             Collection::HashMap(ChainedHashMap::new())
                         }
                     }
                     MapSel::Swiss => Collection::SwissMap(SwissMap::new()),
-                    MapSel::Bit => match soa_arity(val).filter(|_| soa) {
+                    MapSel::Bit => match soa_arity(val) {
                         Some(ar) => Collection::SoaBitMap(ColumnMap::new(ar)),
-                        None if unbox && unboxable(val) => {
-                            Collection::UnboxedBitMap(BitMap::new())
-                        }
+                        None if unboxable(val) => Collection::UnboxedBitMap(BitMap::new()),
                         None => Collection::BitMap(BitMap::new()),
                     },
                 }
@@ -258,30 +510,27 @@ impl Collection {
     }
 
     /// Which implementation this is (for statistics and cost modeling).
+    /// Unboxed and columnar storage are physical-representation
+    /// choices, not Table I implementations: a twin reports its boxed
+    /// fallback's kind, so statistics and modeled cost are keyed
+    /// identically.
     pub fn impl_kind(&self) -> ImplKind {
         match self {
-            Collection::Seq(_) => ImplKind::Seq,
-            Collection::HashSet(_) => ImplKind::HashSet,
+            Collection::Seq(_) | Collection::UnboxedSeq(_) | Collection::SoaSeq(_) => ImplKind::Seq,
+            Collection::HashSet(_) | Collection::UnboxedHashSet(_) | Collection::SoaHashSet(_) => {
+                ImplKind::HashSet
+            }
             Collection::SwissSet(_) => ImplKind::SwissSet,
             Collection::FlatSet(_) => ImplKind::FlatSet,
             Collection::BitSet(_) => ImplKind::BitSet,
             Collection::SparseBitSet(_) => ImplKind::SparseBitSet,
-            Collection::HashMap(_) => ImplKind::HashMap,
+            Collection::HashMap(_) | Collection::UnboxedHashMap(_) | Collection::SoaHashMap(_) => {
+                ImplKind::HashMap
+            }
             Collection::SwissMap(_) => ImplKind::SwissMap,
-            Collection::BitMap(_) => ImplKind::BitMap,
-            // Unboxing is a physical-representation choice, not a Table I
-            // implementation: report the boxed twin's kind so statistics
-            // and modeled cost are keyed identically.
-            Collection::UnboxedSeq(_) => ImplKind::Seq,
-            Collection::UnboxedHashSet(_) => ImplKind::HashSet,
-            Collection::UnboxedHashMap(_) => ImplKind::HashMap,
-            Collection::UnboxedBitMap(_) => ImplKind::BitMap,
-            // Columnar storage likewise: same Table I implementation,
-            // different physical layout.
-            Collection::SoaSeq(_) => ImplKind::Seq,
-            Collection::SoaHashSet(_) => ImplKind::HashSet,
-            Collection::SoaHashMap(_) => ImplKind::HashMap,
-            Collection::SoaBitMap(_) => ImplKind::BitMap,
+            Collection::BitMap(_) | Collection::UnboxedBitMap(_) | Collection::SoaBitMap(_) => {
+                ImplKind::BitMap
+            }
         }
     }
 
@@ -314,43 +563,27 @@ impl Collection {
     }
 
     /// Constant-time-ish heap footprint estimate (see the collection
-    /// crate's `heap_bytes_fast` methods).
+    /// crate's `heap_bytes_fast` methods), priced at the boxed entry
+    /// width for every representation.
     pub fn bytes_estimate(&self) -> usize {
         match self {
-            Collection::Seq(s) => s.heap_bytes_fast(),
-            Collection::HashSet(s) => s.heap_bytes_fast(),
+            Collection::Seq(s) => s.heap_bytes_fast_as(BOXED_SLOT),
+            Collection::UnboxedSeq(s) => s.heap_bytes_fast_as(BOXED_SLOT),
+            Collection::SoaSeq(s) => s.heap_bytes_fast_as(BOXED_SLOT),
+            Collection::HashSet(s) => s.heap_bytes_fast_as(BOXED_SET_ENTRY),
+            Collection::UnboxedHashSet(s) => s.heap_bytes_fast_as(BOXED_SET_ENTRY),
+            Collection::SoaHashSet(s) => s.heap_bytes_fast_as(BOXED_SET_ENTRY),
+            Collection::HashMap(m) => m.heap_bytes_fast_as(BOXED_MAP_ENTRY),
+            Collection::UnboxedHashMap(m) => m.heap_bytes_fast_as(BOXED_MAP_ENTRY),
+            Collection::SoaHashMap(m) => m.heap_bytes_fast_as(BOXED_MAP_ENTRY),
+            Collection::BitMap(m) => m.heap_bytes_fast_as(BOXED_SLOT),
+            Collection::UnboxedBitMap(m) => m.heap_bytes_fast_as(BOXED_SLOT),
+            Collection::SoaBitMap(m) => m.heap_bytes_fast_as(BOXED_SLOT),
             Collection::SwissSet(s) => s.heap_bytes_fast(),
             Collection::FlatSet(s) => s.heap_bytes_fast(),
             Collection::BitSet(s) => s.heap_bytes_fast(),
             Collection::SparseBitSet(s) => s.heap_bytes_fast(),
-            Collection::HashMap(m) => m.heap_bytes_fast(),
             Collection::SwissMap(m) => m.heap_bytes_fast(),
-            Collection::BitMap(m) => m.heap_bytes_fast(),
-            // Unboxed backends price their footprint at the boxed entry
-            // width: the figures' memory accounting is calibrated
-            // against the boxed layouts, and the backends' capacity
-            // trajectories are identical at both widths, so the boxed
-            // and unboxed runs report byte-identical sizes.
-            Collection::UnboxedSeq(s) => s.heap_bytes_fast_as(std::mem::size_of::<Value>()),
-            Collection::UnboxedHashSet(s) => {
-                s.heap_bytes_fast_as(std::mem::size_of::<(Value, ())>())
-            }
-            Collection::UnboxedHashMap(m) => {
-                m.heap_bytes_fast_as(std::mem::size_of::<(Value, Value)>())
-            }
-            Collection::UnboxedBitMap(m) => m.heap_bytes_fast_as(std::mem::size_of::<Value>()),
-            // Columnar backends price per boxed *row entry* the same
-            // way: all columns share one capacity trajectory, so
-            // `capacity × boxed width` is the boxed twin's footprint.
-            // (The boxed twin's per-element `Arc<[Value]>` field arrays
-            // are value-owned heap data, which the fast estimates
-            // exclude for every backend.)
-            Collection::SoaSeq(s) => s.heap_bytes_fast_as(std::mem::size_of::<Value>()),
-            Collection::SoaHashSet(s) => s.heap_bytes_fast_as(std::mem::size_of::<(Value, ())>()),
-            Collection::SoaHashMap(m) => {
-                m.heap_bytes_fast_as(std::mem::size_of::<(Value, Value)>())
-            }
-            Collection::SoaBitMap(m) => m.heap_bytes_fast_as(std::mem::size_of::<Value>()),
         }
     }
 
@@ -363,30 +596,19 @@ impl Collection {
     /// when a dense implementation gets a non-index key.
     pub fn try_has(&self, key: &Value) -> Result<bool, TrapKind> {
         Ok(match self {
-            Collection::HashSet(s) => s.contains(key),
+            Collection::HashSet(s) => set_has(s, key),
+            Collection::UnboxedHashSet(s) => set_has(s, key),
+            Collection::SoaHashSet(s) => set_has(s, key),
             Collection::SwissSet(s) => s.contains(key),
             Collection::FlatSet(s) => s.contains(key),
             Collection::BitSet(s) => s.contains(key.try_as_index()?),
             Collection::SparseBitSet(s) => s.contains(key.try_as_index()?),
-            Collection::HashMap(m) => m.contains_key(key),
+            Collection::HashMap(m) => map_has(m, key),
+            Collection::UnboxedHashMap(m) => map_has(m, key),
+            Collection::SoaHashMap(m) => map_has(m, key),
             Collection::SwissMap(m) => m.contains_key(key),
             Collection::BitMap(m) => m.contains_key(key.try_as_index()?),
-            // An unconvertible probe key can equal no stored scalar, so
-            // membership is `false` — the same answer the boxed twin
-            // gives (only scalars ever reach an unboxed store).
-            Collection::UnboxedHashSet(s) => {
-                ScalarVal::from_value(key).is_some_and(|k| s.contains(&k))
-            }
-            Collection::UnboxedHashMap(m) => {
-                ScalarVal::from_value(key).is_some_and(|k| m.contains_key(&k))
-            }
             Collection::UnboxedBitMap(m) => m.contains_key(key.try_as_index()?),
-            Collection::SoaHashSet(s) => {
-                ScalarRow::from_value(key).is_some_and(|k| s.contains(&k))
-            }
-            Collection::SoaHashMap(m) => {
-                ScalarVal::from_value(key).is_some_and(|k| m.contains_key(&k))
-            }
             Collection::SoaBitMap(m) => m.contains_key(key.try_as_index()?),
             Collection::Seq(_) | Collection::UnboxedSeq(_) | Collection::SoaSeq(_) => {
                 return Err(TrapKind::UnsupportedOp {
@@ -405,56 +627,25 @@ impl Collection {
     /// absent (undefined behavior in the paper's semantics);
     /// [`TrapKind::UnsupportedOp`] on sets.
     pub fn try_read(&self, key: &Value) -> Result<Value, TrapKind> {
-        let absent = || TrapKind::MissingKey {
-            key: key.to_string(),
-        };
         match self {
-            Collection::Seq(s) => {
-                let i = key.try_as_u64()?;
-                s.get(i as usize).cloned().ok_or(TrapKind::OutOfBounds {
-                    index: i,
-                    len: s.len(),
-                })
-            }
-            Collection::HashMap(m) => m.get(key).cloned().ok_or_else(absent),
-            Collection::SwissMap(m) => m.get(key).cloned().ok_or_else(absent),
-            Collection::BitMap(m) => m.get(key.try_as_index()?).cloned().ok_or_else(absent),
-            Collection::UnboxedSeq(s) => {
-                let i = key.try_as_u64()?;
-                s.get(i as usize)
-                    .map(|v| v.to_value())
-                    .ok_or(TrapKind::OutOfBounds {
-                        index: i,
-                        len: s.len(),
-                    })
-            }
-            Collection::UnboxedHashMap(m) => ScalarVal::from_value(key)
-                .and_then(|k| m.get(&k))
-                .map(|v| v.to_value())
-                .ok_or_else(absent),
-            Collection::UnboxedBitMap(m) => m
-                .get(key.try_as_index()?)
-                .map(|v| v.to_value())
-                .ok_or_else(absent),
+            Collection::Seq(s) => seq_read(s, key),
+            Collection::UnboxedSeq(s) => seq_read(s, key),
+            Collection::HashMap(m) => map_read(m, key),
+            Collection::UnboxedHashMap(m) => map_read(m, key),
+            Collection::SoaHashMap(m) => map_read(m, key),
+            Collection::SwissMap(m) => m.get(key).cloned().ok_or_else(|| missing(key)),
+            Collection::BitMap(m) => dense_read(m, key),
+            Collection::UnboxedBitMap(m) => dense_read(m, key),
             // Escaping reads rematerialize the boxed tuple from the
-            // gathered columns (or the packed row) lazily.
+            // gathered columns lazily.
             Collection::SoaSeq(s) => {
-                let i = key.try_as_u64()?;
-                s.row(i as usize)
-                    .map(soa_tuple)
-                    .ok_or(TrapKind::OutOfBounds {
-                        index: i,
-                        len: s.len(),
-                    })
+                let i = seq_index(key, s.len())?;
+                Ok(column_tuple(s.row(i).expect("in bounds")))
             }
-            Collection::SoaHashMap(m) => ScalarVal::from_value(key)
-                .and_then(|k| m.get(&k))
-                .map(ScalarRow::to_value)
-                .ok_or_else(absent),
             Collection::SoaBitMap(m) => m
                 .row(key.try_as_index()?)
-                .map(soa_tuple)
-                .ok_or_else(absent),
+                .map(column_tuple)
+                .ok_or_else(|| missing(key)),
             other => Err(TrapKind::UnsupportedOp {
                 op: "read",
                 on: format!("{:?}", other.impl_kind()),
@@ -472,68 +663,32 @@ impl Collection {
     /// the `enc` sentinel reaches a dense map.
     pub fn try_write(&mut self, key: &Value, value: Value) -> Result<(), TrapKind> {
         match self {
-            Collection::Seq(s) => {
-                let i = key.try_as_u64()?;
-                if i as usize >= s.len() {
-                    return Err(TrapKind::OutOfBounds {
-                        index: i,
-                        len: s.len(),
-                    });
-                }
-                s.set(i as usize, value);
-            }
-            Collection::HashMap(m) => {
-                m.insert(key.clone(), value);
-            }
+            Collection::Seq(s) => seq_write(s, key, value),
+            Collection::UnboxedSeq(s) => seq_write(s, key, value),
+            Collection::HashMap(m) => map_write(m, key, value),
+            Collection::UnboxedHashMap(m) => map_write(m, key, value),
+            Collection::SoaHashMap(m) => map_write(m, key, value),
             Collection::SwissMap(m) => {
                 m.insert(key.clone(), value);
+                Ok(())
             }
-            Collection::BitMap(m) => {
-                m.insert(Self::dense_key(key)?, value);
-            }
-            Collection::UnboxedSeq(s) => {
-                let i = key.try_as_u64()?;
-                if i as usize >= s.len() {
-                    return Err(TrapKind::OutOfBounds {
-                        index: i,
-                        len: s.len(),
-                    });
-                }
-                s.set(i as usize, unbox_store(&value)?);
-            }
-            Collection::UnboxedHashMap(m) => {
-                m.insert(unbox_store(key)?, unbox_store(&value)?);
-            }
-            Collection::UnboxedBitMap(m) => {
-                m.insert(Self::dense_key(key)?, unbox_store(&value)?);
-            }
+            Collection::BitMap(m) => dense_write(m, key, value),
+            Collection::UnboxedBitMap(m) => dense_write(m, key, value),
             Collection::SoaSeq(s) => {
-                let i = key.try_as_u64()?;
-                if i as usize >= s.len() {
-                    return Err(TrapKind::OutOfBounds {
-                        index: i,
-                        len: s.len(),
-                    });
-                }
-                let row = soa_store(&value, s.arity())?;
-                s.set_row(i as usize, row.fields());
-            }
-            Collection::SoaHashMap(m) => {
-                m.insert(unbox_store(key)?, soa_pack(&value)?);
+                let i = seq_index(key, s.len())?;
+                s.set_row(i, column_store(value, s.arity())?.fields());
+                Ok(())
             }
             Collection::SoaBitMap(m) => {
-                let i = Self::dense_key(key)?;
-                let row = soa_store(&value, m.arity())?;
-                m.insert(i, row.fields());
+                let i = dense_key(key)?;
+                m.insert(i, column_store(value, m.arity())?.fields());
+                Ok(())
             }
-            other => {
-                return Err(TrapKind::UnsupportedOp {
-                    op: "write",
-                    on: format!("{:?}", other.impl_kind()),
-                })
-            }
+            other => Err(TrapKind::UnsupportedOp {
+                op: "write",
+                on: format!("{:?}", other.impl_kind()),
+            }),
         }
-        Ok(())
     }
 
     /// Set-element insertion. Returns `true` if newly added.
@@ -544,21 +699,19 @@ impl Collection {
     /// [`TrapKind::SentinelInsert`] when the `enc` sentinel reaches a
     /// dense set.
     pub fn try_insert_elem(&mut self, value: Value) -> Result<bool, TrapKind> {
-        Ok(match self {
-            Collection::HashSet(s) => s.insert(value),
-            Collection::SwissSet(s) => s.insert(value),
-            Collection::FlatSet(s) => s.insert(value),
-            Collection::BitSet(s) => s.insert(Self::dense_key(&value)?),
-            Collection::SparseBitSet(s) => s.insert(Self::dense_key(&value)?),
-            Collection::UnboxedHashSet(s) => s.insert(unbox_store(&value)?),
-            Collection::SoaHashSet(s) => s.insert(soa_pack(&value)?),
-            other => {
-                return Err(TrapKind::UnsupportedOp {
-                    op: "set insert",
-                    on: format!("{:?}", other.impl_kind()),
-                })
-            }
-        })
+        match self {
+            Collection::HashSet(s) => set_insert(s, value),
+            Collection::UnboxedHashSet(s) => set_insert(s, value),
+            Collection::SoaHashSet(s) => set_insert(s, value),
+            Collection::SwissSet(s) => Ok(s.insert(value)),
+            Collection::FlatSet(s) => Ok(s.insert(value)),
+            Collection::BitSet(s) => Ok(s.insert(dense_key(&value)?)),
+            Collection::SparseBitSet(s) => Ok(s.insert(dense_key(&value)?)),
+            other => Err(TrapKind::UnsupportedOp {
+                op: "set insert",
+                on: format!("{:?}", other.impl_kind()),
+            }),
+        }
     }
 
     /// Map-key insertion: default-initializes the slot if absent.
@@ -570,55 +723,29 @@ impl Collection {
     /// dense map.
     pub fn try_insert_key_default(&mut self, key: &Value, default: Value) -> Result<(), TrapKind> {
         match self {
-            Collection::HashMap(m) => {
-                if !m.contains_key(key) {
-                    m.insert(key.clone(), default);
-                }
-            }
+            Collection::HashMap(m) => map_insert_key_default(m, key, default),
+            Collection::UnboxedHashMap(m) => map_insert_key_default(m, key, default),
+            Collection::SoaHashMap(m) => map_insert_key_default(m, key, default),
             Collection::SwissMap(m) => {
                 if !m.contains_key(key) {
                     m.insert(key.clone(), default);
                 }
+                Ok(())
             }
-            Collection::BitMap(m) => {
-                let i = Self::dense_key(key)?;
-                if !m.contains_key(i) {
-                    m.insert(i, default);
-                }
-            }
-            Collection::UnboxedHashMap(m) => {
-                let k = unbox_store(key)?;
-                if !m.contains_key(&k) {
-                    m.insert(k, unbox_store(&default)?);
-                }
-            }
-            Collection::UnboxedBitMap(m) => {
-                let i = Self::dense_key(key)?;
-                if !m.contains_key(i) {
-                    m.insert(i, unbox_store(&default)?);
-                }
-            }
-            Collection::SoaHashMap(m) => {
-                let k = unbox_store(key)?;
-                if !m.contains_key(&k) {
-                    m.insert(k, soa_pack(&default)?);
-                }
-            }
+            Collection::BitMap(m) => dense_insert_key_default(m, key, default),
+            Collection::UnboxedBitMap(m) => dense_insert_key_default(m, key, default),
             Collection::SoaBitMap(m) => {
-                let i = Self::dense_key(key)?;
+                let i = dense_key(key)?;
                 if !m.contains_key(i) {
-                    let row = soa_store(&default, m.arity())?;
-                    m.insert(i, row.fields());
+                    m.insert(i, column_store(default, m.arity())?.fields());
                 }
+                Ok(())
             }
-            other => {
-                return Err(TrapKind::UnsupportedOp {
-                    op: "map insert",
-                    on: format!("{:?}", other.impl_kind()),
-                })
-            }
+            other => Err(TrapKind::UnsupportedOp {
+                op: "map insert",
+                on: format!("{:?}", other.impl_kind()),
+            }),
         }
-        Ok(())
     }
 
     /// Sequence insertion at `index` (appends when `index == len`).
@@ -629,42 +756,11 @@ impl Collection {
     /// [`TrapKind::OutOfBounds`] past the end.
     pub fn try_insert_seq(&mut self, index: usize, value: Value) -> Result<(), TrapKind> {
         match self {
-            Collection::Seq(s) => {
-                if index == s.len() {
-                    s.push(value);
-                } else if index < s.len() {
-                    s.insert(index, value);
-                } else {
-                    return Err(TrapKind::OutOfBounds {
-                        index: index as u64,
-                        len: s.len(),
-                    });
-                }
-                Ok(())
-            }
-            Collection::UnboxedSeq(s) => {
-                if index > s.len() {
-                    return Err(TrapKind::OutOfBounds {
-                        index: index as u64,
-                        len: s.len(),
-                    });
-                }
-                let v = unbox_store(&value)?;
-                if index == s.len() {
-                    s.push(v);
-                } else {
-                    s.insert(index, v);
-                }
-                Ok(())
-            }
+            Collection::Seq(s) => seq_insert(s, index, value),
+            Collection::UnboxedSeq(s) => seq_insert(s, index, value),
             Collection::SoaSeq(s) => {
-                if index > s.len() {
-                    return Err(TrapKind::OutOfBounds {
-                        index: index as u64,
-                        len: s.len(),
-                    });
-                }
-                let row = soa_store(&value, s.arity())?;
+                seq_insert_index(index, s.len())?;
+                let row = column_store(value, s.arity())?;
                 if index == s.len() {
                     s.push_row(row.fields());
                 } else {
@@ -689,19 +785,12 @@ impl Collection {
     /// non-index key.
     pub fn try_remove(&mut self, key: &Value) -> Result<(), TrapKind> {
         match self {
-            Collection::Seq(s) => {
-                let i = key.try_as_u64()?;
-                if i as usize >= s.len() {
-                    return Err(TrapKind::OutOfBounds {
-                        index: i,
-                        len: s.len(),
-                    });
-                }
-                s.remove(i as usize);
-            }
-            Collection::HashSet(s) => {
-                s.remove(key);
-            }
+            Collection::Seq(s) => seq_remove(s, key)?,
+            Collection::UnboxedSeq(s) => seq_remove(s, key)?,
+            Collection::SoaSeq(s) => s.remove_row(seq_index(key, s.len())?),
+            Collection::HashSet(s) => set_remove(s, key),
+            Collection::UnboxedHashSet(s) => set_remove(s, key),
+            Collection::SoaHashSet(s) => set_remove(s, key),
             Collection::SwissSet(s) => {
                 s.remove(key);
             }
@@ -714,75 +803,21 @@ impl Collection {
             Collection::SparseBitSet(s) => {
                 s.remove(key.try_as_index()?);
             }
-            Collection::HashMap(m) => {
-                m.remove(key);
-            }
+            Collection::HashMap(m) => map_remove(m, key),
+            Collection::UnboxedHashMap(m) => map_remove(m, key),
+            Collection::SoaHashMap(m) => map_remove(m, key),
             Collection::SwissMap(m) => {
                 m.remove(key);
             }
             Collection::BitMap(m) => {
                 m.remove(key.try_as_index()?);
             }
-            Collection::UnboxedSeq(s) => {
-                let i = key.try_as_u64()?;
-                if i as usize >= s.len() {
-                    return Err(TrapKind::OutOfBounds {
-                        index: i,
-                        len: s.len(),
-                    });
-                }
-                s.remove(i as usize);
-            }
-            Collection::UnboxedHashSet(s) => {
-                if let Some(k) = ScalarVal::from_value(key) {
-                    s.remove(&k);
-                }
-            }
-            Collection::UnboxedHashMap(m) => {
-                if let Some(k) = ScalarVal::from_value(key) {
-                    m.remove(&k);
-                }
-            }
             Collection::UnboxedBitMap(m) => {
                 m.remove(key.try_as_index()?);
             }
-            Collection::SoaSeq(s) => {
-                let i = key.try_as_u64()?;
-                if i as usize >= s.len() {
-                    return Err(TrapKind::OutOfBounds {
-                        index: i,
-                        len: s.len(),
-                    });
-                }
-                s.remove_row(i as usize);
-            }
-            Collection::SoaHashSet(s) => {
-                if let Some(k) = ScalarRow::from_value(key) {
-                    s.remove(&k);
-                }
-            }
-            Collection::SoaHashMap(m) => {
-                if let Some(k) = ScalarVal::from_value(key) {
-                    m.remove(&k);
-                }
-            }
-            Collection::SoaBitMap(m) => {
-                m.remove(key.try_as_index()?);
-            }
+            Collection::SoaBitMap(m) => m.remove(key.try_as_index()?),
         }
         Ok(())
-    }
-
-    /// A key bound for a dense-implementation *insert* (or upsert): the
-    /// `enc` sentinel must never materialize as a stored element — the
-    /// invariant a correct ADE compilation maintains, and the trap a
-    /// broken one raises.
-    fn dense_key(key: &Value) -> Result<usize, TrapKind> {
-        let i = key.try_as_index()?;
-        if i == ENC_SENTINEL {
-            return Err(TrapKind::SentinelInsert);
-        }
-        Ok(i)
     }
 
     /// Membership test (sets and maps).
@@ -889,79 +924,75 @@ impl Collection {
     /// `(index, elem)`).
     pub fn snapshot(&self) -> Vec<(Value, Value)> {
         match self {
-            Collection::Seq(s) => s
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (Value::U64(i as u64), v.clone()))
-                .collect(),
-            Collection::HashSet(s) => s.iter().map(|v| (v.clone(), Value::Void)).collect(),
+            Collection::Seq(s) => seq_snapshot(s),
+            Collection::UnboxedSeq(s) => seq_snapshot(s),
+            Collection::HashSet(s) => set_snapshot(s),
+            Collection::UnboxedHashSet(s) => set_snapshot(s),
+            Collection::SoaHashSet(s) => set_snapshot(s),
+            Collection::HashMap(m) => map_snapshot(m),
+            Collection::UnboxedHashMap(m) => map_snapshot(m),
+            Collection::SoaHashMap(m) => map_snapshot(m),
+            Collection::BitMap(m) => dense_snapshot(m),
+            Collection::UnboxedBitMap(m) => dense_snapshot(m),
             Collection::SwissSet(s) => s.iter().map(|v| (v.clone(), Value::Void)).collect(),
             Collection::FlatSet(s) => s.iter().map(|v| (v.clone(), Value::Void)).collect(),
             Collection::BitSet(s) => s.iter().map(|i| (Value::Idx(i), Value::Void)).collect(),
             Collection::SparseBitSet(s) => s.iter().map(|i| (Value::Idx(i), Value::Void)).collect(),
-            Collection::HashMap(m) => m.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
             Collection::SwissMap(m) => m.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-            Collection::BitMap(m) => m.iter().map(|(k, v)| (Value::Idx(k), v.clone())).collect(),
-            Collection::UnboxedSeq(s) => s
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (Value::U64(i as u64), v.to_value()))
-                .collect(),
-            Collection::UnboxedHashSet(s) => {
-                s.iter().map(|v| (v.to_value(), Value::Void)).collect()
-            }
-            Collection::UnboxedHashMap(m) => m
-                .iter()
-                .map(|(k, v)| (k.to_value(), v.to_value()))
-                .collect(),
-            Collection::UnboxedBitMap(m) => m
-                .iter()
-                .map(|(k, v)| (Value::Idx(k), v.to_value()))
-                .collect(),
             Collection::SoaSeq(s) => (0..s.len())
                 .map(|i| {
-                    (
-                        Value::U64(i as u64),
-                        soa_tuple(s.row(i).expect("in bounds")),
-                    )
+                    let row = s.row(i).expect("in bounds");
+                    (Value::U64(i as u64), column_tuple(row))
                 })
-                .collect(),
-            Collection::SoaHashSet(s) => s.iter().map(|r| (r.to_value(), Value::Void)).collect(),
-            Collection::SoaHashMap(m) => m
-                .iter()
-                .map(|(k, r)| (k.to_value(), r.to_value()))
                 .collect(),
             Collection::SoaBitMap(m) => m
                 .keys()
-                .map(|k| (Value::Idx(k), soa_tuple(m.row(k).expect("present"))))
+                .map(|k| (Value::Idx(k), column_tuple(m.row(k).expect("present"))))
                 .collect(),
         }
     }
 
+    /// Folds the values of a value-stream source through `f`, in
+    /// iteration order: sequences stream their elements (index order),
+    /// dense maps their payloads (ascending key order). `None` for every
+    /// other backend, which bulk loop kernels leave to the plan
+    /// executor.
+    pub(crate) fn try_fold_stream<B, E>(
+        &self,
+        init: B,
+        mut f: impl FnMut(B, &Value) -> Result<B, E>,
+    ) -> Option<Result<B, E>> {
+        Some(match self {
+            Collection::Seq(s) => s.try_fold(init, f),
+            Collection::UnboxedSeq(s) => s.try_fold(init, |b, v| f(b, &v.to_value())),
+            Collection::BitMap(m) => m.try_fold_values(init, f),
+            Collection::UnboxedBitMap(m) => m.try_fold_values(init, |b, v| f(b, &v.to_value())),
+            _ => return None,
+        })
+    }
+
     /// Machine words an iteration must scan beyond the yielded elements
     /// (zero for element-at-a-time implementations; the whole occupancy
-    /// structure for bit-array implementations).
+    /// structure for bit-array implementations). Charged from the
+    /// boxed-width byte estimate, so a twin's IterWord counts (and hence
+    /// modeled time) match its boxed fallback's exactly.
     pub fn iter_scan_words(&self) -> u64 {
         match self {
             Collection::BitSet(s) => (s.universe() / 64) as u64,
-            Collection::SparseBitSet(s) => (s.heap_bytes_fast() / 8) as u64,
-            Collection::BitMap(m) => (m.heap_bytes_fast() / 8) as u64,
+            Collection::SparseBitSet(_)
+            | Collection::BitMap(_)
+            | Collection::UnboxedBitMap(_)
+            | Collection::SoaBitMap(_) => (self.bytes_estimate() / 8) as u64,
             // Hash/swiss tables scan their slot arrays too; charge words
             // proportional to capacity over 8 slots per word equivalent.
-            Collection::HashSet(s) => (s.heap_bytes_fast() / 64) as u64,
-            Collection::SwissSet(s) => (s.heap_bytes_fast() / 64) as u64,
-            Collection::HashMap(m) => (m.heap_bytes_fast() / 64) as u64,
-            Collection::SwissMap(m) => (m.heap_bytes_fast() / 64) as u64,
-            // Unboxed twins charge from the boxed-width estimate so the
-            // IterWord counts (and hence modeled time) match the boxed
-            // run exactly.
-            Collection::UnboxedBitMap(_) | Collection::SoaBitMap(_) => {
-                (self.bytes_estimate() / 8) as u64
-            }
-            Collection::UnboxedHashSet(_)
-            | Collection::UnboxedHashMap(_)
+            Collection::HashSet(_)
+            | Collection::UnboxedHashSet(_)
             | Collection::SoaHashSet(_)
-            | Collection::SoaHashMap(_) => (self.bytes_estimate() / 64) as u64,
+            | Collection::SwissSet(_)
+            | Collection::HashMap(_)
+            | Collection::UnboxedHashMap(_)
+            | Collection::SoaHashMap(_)
+            | Collection::SwissMap(_) => (self.bytes_estimate() / 64) as u64,
             Collection::Seq(_)
             | Collection::UnboxedSeq(_)
             | Collection::SoaSeq(_)
@@ -978,8 +1009,6 @@ mod tests {
         Collection::new_for(
             &Type::set_with(Type::Idx, sel),
             SelectionDefaults::default(),
-            false,
-            false,
         )
     }
 
@@ -1004,8 +1033,6 @@ mod tests {
         let m = Collection::new_for(
             &Type::map_with(Type::Idx, Type::U64, MapSel::Bit),
             SelectionDefaults::default(),
-            false,
-            false,
         );
         assert_eq!(m.impl_kind(), ImplKind::BitMap);
     }
@@ -1016,9 +1043,9 @@ mod tests {
             set: SetSel::Swiss,
             map: MapSel::Swiss,
         };
-        let s = Collection::new_for(&Type::set(Type::U64), swiss_default, false, false);
+        let s = Collection::new_for(&Type::set(Type::U64), swiss_default);
         assert_eq!(s.impl_kind(), ImplKind::SwissSet);
-        let m = Collection::new_for(&Type::map(Type::U64, Type::U64), swiss_default, false, false);
+        let m = Collection::new_for(&Type::map(Type::U64, Type::U64), swiss_default);
         assert_eq!(m.impl_kind(), ImplKind::SwissMap);
     }
 
@@ -1048,8 +1075,6 @@ mod tests {
             let mut m = Collection::new_for(
                 &Type::map_with(Type::Idx, Type::U64, sel),
                 SelectionDefaults::default(),
-                false,
-                false,
             );
             m.insert_key_default(&Value::Idx(3), Value::U64(0));
             assert_eq!(m.read(&Value::Idx(3)), Value::U64(0));
@@ -1063,12 +1088,7 @@ mod tests {
 
     #[test]
     fn seq_ops() {
-        let mut s = Collection::new_for(
-            &Type::seq(Type::U64),
-            SelectionDefaults::default(),
-            false,
-            false,
-        );
+        let mut s = Collection::new_for(&Type::seq(Type::U64), SelectionDefaults::default());
         s.insert_seq(0, Value::U64(1));
         s.insert_seq(1, Value::U64(3));
         s.insert_seq(1, Value::U64(2));
@@ -1098,90 +1118,258 @@ mod tests {
         assert!(s.bytes_estimate() > before);
     }
 
-    /// Every scalar-typed collection flavor selects the unboxed backend
-    /// when asked, and the twin pair stays observationally identical —
-    /// same reported implementation kind, same snapshot (iteration
-    /// order included), same byte estimate — across an op history long
-    /// enough to trigger bucket growth and `Vec` reallocation.
-    #[test]
-    fn unboxed_twins_are_observationally_identical() {
-        let defaults = SelectionDefaults::default();
-        let tys = [
-            Type::seq(Type::U64),
-            Type::set_with(Type::U64, SetSel::Hash),
-            Type::map_with(Type::U64, Type::U64, MapSel::Hash),
-            Type::map_with(Type::Idx, Type::U64, MapSel::Bit),
-        ];
-        for ty in tys {
-            let mut boxed = Collection::new_for(&ty, defaults, false, false);
-            let mut unboxed = Collection::new_for(&ty, defaults, true, false);
-            assert_eq!(boxed.impl_kind(), unboxed.impl_kind(), "{ty:?}");
-            for target in [&mut boxed, &mut unboxed] {
-                for i in 0..100u64 {
-                    // A mix that exercises growth, overwrite and removal.
-                    let k = (i * 7) % 64;
-                    match &ty {
-                        Type::Seq(_) => target.insert_seq(target.len(), Value::U64(k)),
-                        Type::Set { .. } => {
-                            target.insert_elem(Value::U64(k));
-                        }
-                        Type::Map { key, .. } if **key == Type::Idx => {
-                            target.write(&Value::Idx(k as usize), Value::U64(i));
-                        }
-                        _ => target.write(&Value::U64(k), Value::U64(i)),
-                    }
-                }
-                match &ty {
-                    Type::Seq(_) => {}
-                    Type::Map { key, .. } if **key == Type::Idx => target.remove(&Value::Idx(7)),
-                    _ => target.remove(&Value::U64(7)),
-                }
-            }
-            assert_eq!(boxed.len(), unboxed.len(), "{ty:?}");
-            assert_eq!(
-                boxed.snapshot(),
-                unboxed.snapshot(),
-                "{ty:?} iteration order"
-            );
-            assert_eq!(
-                boxed.bytes_estimate(),
-                unboxed.bytes_estimate(),
-                "{ty:?} byte accounting"
-            );
-            assert_eq!(boxed.iter_scan_words(), unboxed.iter_scan_words(), "{ty:?}");
+    /// The boxed backend a twin-selecting type falls back to, built
+    /// directly: the reference every twin is compared against.
+    fn boxed_reference(ty: &Type) -> Collection {
+        match ty {
+            Type::Seq(_) => Collection::Seq(ArraySeq::new()),
+            Type::Set { .. } => Collection::HashSet(ChainedHashSet::new()),
+            Type::Map {
+                sel: MapSel::Bit, ..
+            } => Collection::BitMap(BitMap::new()),
+            Type::Map { .. } => Collection::HashMap(ChainedHashMap::new()),
+            other => panic!("no boxed reference for {other}"),
         }
     }
 
-    /// The `enc` sentinel must never reach a dense insert — the unboxed
-    /// dense backends trap exactly as their boxed twins do, while
+    /// A value of the static element/payload type `ty` (a scalar or the
+    /// scalar pair), distinct for distinct `i`.
+    fn sample(ty: &Type, i: u64) -> Value {
+        match ty {
+            Type::Tuple(_) => pair(i, i + 1),
+            _ => Value::U64(i),
+        }
+    }
+
+    /// Runs one deterministic op history on `c` (a collection of type
+    /// `ty`) and logs every result, trap text included. The history
+    /// covers every mutating op the type's family supports — growth
+    /// past several reallocations, mid-sequence inserts, overwrites,
+    /// default-initializing inserts on present and absent keys,
+    /// removals of present and absent keys, a clear and regrowth — plus
+    /// the family's traps: out-of-bounds read/write/insert/remove on
+    /// sequences, `MissingKey` on map reads, and `SentinelInsert` on
+    /// dense-map inserts (where probes and removals of the sentinel stay
+    /// clean).
+    fn history(c: &mut Collection, ty: &Type) -> Vec<String> {
+        fn log<T: std::fmt::Debug>(out: &mut Vec<String>, r: Result<T, TrapKind>) {
+            out.push(match r {
+                Ok(v) => format!("{v:?}"),
+                Err(t) => format!("trap: {t}"),
+            });
+        }
+        let mut out = Vec::new();
+        match ty {
+            Type::Seq(elem) => {
+                for round in 0..2u64 {
+                    for i in 0..100 {
+                        log(&mut out, c.try_insert_seq(c.len(), sample(elem, i + round)));
+                    }
+                    for i in 0..20 {
+                        log(
+                            &mut out,
+                            c.try_insert_seq(i * 3, sample(elem, 500 + i as u64)),
+                        );
+                    }
+                    // Just before the last element: an insert, not an append.
+                    log(&mut out, c.try_insert_seq(c.len() - 1, sample(elem, 700)));
+                    for i in 0..40 {
+                        log(
+                            &mut out,
+                            c.try_write(&Value::U64(i * 2), sample(elem, 900 + i)),
+                        );
+                    }
+                    for i in 0..15 {
+                        log(&mut out, c.try_remove(&Value::U64(i * 5)));
+                    }
+                    for i in 0..c.len() as u64 {
+                        log(&mut out, c.try_read(&Value::U64(i)));
+                    }
+                    let end = Value::U64(c.len() as u64);
+                    log(&mut out, c.try_read(&end));
+                    log(&mut out, c.try_write(&end, sample(elem, 1)));
+                    log(&mut out, c.try_insert_seq(c.len() + 1, sample(elem, 1)));
+                    log(&mut out, c.try_remove(&end));
+                    if round == 0 {
+                        c.clear();
+                    }
+                }
+            }
+            Type::Set { elem, .. } => {
+                for round in 0..2u64 {
+                    for i in 0..100 {
+                        let k = (i * 7) % 64 + round;
+                        log(&mut out, c.try_insert_elem(sample(elem, k)));
+                    }
+                    for k in 0..70 {
+                        log(&mut out, c.try_has(&sample(elem, k)));
+                    }
+                    for k in (0..70).step_by(3) {
+                        log(&mut out, c.try_remove(&sample(elem, k)));
+                    }
+                    log(&mut out, c.try_has(&sample(elem, 7)));
+                    if round == 0 {
+                        c.clear();
+                    }
+                }
+            }
+            Type::Map { key, val, .. } => {
+                let key_of = |i: u64| match **key {
+                    Type::Idx => Value::Idx(i as usize),
+                    _ => Value::U64(i),
+                };
+                for round in 0..2u64 {
+                    for i in 0..100 {
+                        let k = key_of((i * 7) % 64 + round);
+                        log(&mut out, c.try_write(&k, sample(val, i)));
+                    }
+                    for k in 50..90 {
+                        log(
+                            &mut out,
+                            c.try_insert_key_default(&key_of(k), sample(val, 0)),
+                        );
+                    }
+                    for k in (0..90).step_by(4) {
+                        log(&mut out, c.try_remove(&key_of(k)));
+                    }
+                    for k in 0..95 {
+                        log(&mut out, c.try_has(&key_of(k)));
+                        log(&mut out, c.try_read(&key_of(k)));
+                    }
+                    if round == 0 {
+                        c.clear();
+                    }
+                }
+                if **key == Type::Idx {
+                    let sentinel = Value::Idx(ENC_SENTINEL);
+                    log(&mut out, c.try_write(&sentinel, sample(val, 1)));
+                    log(
+                        &mut out,
+                        c.try_insert_key_default(&sentinel, sample(val, 1)),
+                    );
+                    log(&mut out, c.try_has(&sentinel));
+                    log(&mut out, c.try_remove(&sentinel));
+                }
+            }
+            other => panic!("no history for {other}"),
+        }
+        out
+    }
+
+    /// `ty` selects the twin labeled `label`, and the twin stays
+    /// observationally identical to the boxed reference across
+    /// [`history`]: the same reported implementation kind, the same
+    /// result (or trap text) for every op, and afterwards the same
+    /// length, snapshot (iteration order included), byte estimate and
+    /// scan words.
+    fn assert_twin_matches_boxed(ty: &Type, label: &str) {
+        let mut boxed = boxed_reference(ty);
+        let mut twin = Collection::new_for(ty, SelectionDefaults::default());
+        assert_eq!(twin.kind_label(), label, "{ty:?}");
+        assert_eq!(boxed.impl_kind(), twin.impl_kind(), "{ty:?}");
+        let boxed_log = history(&mut boxed, ty);
+        let twin_log = history(&mut twin, ty);
+        assert_eq!(boxed_log, twin_log, "{ty:?} op results");
+        assert_eq!(boxed.len(), twin.len(), "{ty:?}");
+        assert_eq!(boxed.snapshot(), twin.snapshot(), "{ty:?} iteration order");
+        assert_eq!(
+            boxed.bytes_estimate(),
+            twin.bytes_estimate(),
+            "{ty:?} byte accounting"
+        );
+        assert_eq!(boxed.iter_scan_words(), twin.iter_scan_words(), "{ty:?}");
+    }
+
+    /// Every scalar-typed collection flavor selects the unboxed backend,
+    /// and each matches its boxed reference op for op.
+    #[test]
+    fn unboxed_twins_are_observationally_identical() {
+        let cases = [
+            (Type::seq(Type::U64), "unboxed_seq"),
+            (Type::set_with(Type::U64, SetSel::Hash), "unboxed_hash_set"),
+            (
+                Type::map_with(Type::U64, Type::U64, MapSel::Hash),
+                "unboxed_hash_map",
+            ),
+            (
+                Type::map_with(Type::Idx, Type::U64, MapSel::Bit),
+                "unboxed_bit_map",
+            ),
+        ];
+        for (ty, label) in cases {
+            assert_twin_matches_boxed(&ty, label);
+        }
+    }
+
+    /// Every tuple-of-scalars collection flavor selects the columnar
+    /// backend, and each matches its boxed reference op for op.
+    #[test]
+    fn soa_twins_are_observationally_identical() {
+        let cases = [
+            (Type::seq(pair_ty()), "soa_seq"),
+            (Type::set_with(pair_ty(), SetSel::Hash), "soa_hash_set"),
+            (
+                Type::map_with(Type::U64, pair_ty(), MapSel::Hash),
+                "soa_hash_map",
+            ),
+            (
+                Type::map_with(Type::Idx, pair_ty(), MapSel::Bit),
+                "soa_bit_map",
+            ),
+        ];
+        for (ty, label) in cases {
+            assert_twin_matches_boxed(&ty, label);
+        }
+    }
+
+    /// The `enc` sentinel must never reach a dense insert: the unboxed
+    /// dense map traps exactly as its boxed reference does, while
     /// membership probes observe clean absence.
     #[test]
     fn unboxed_dense_backends_keep_the_sentinel_discipline() {
-        for unbox in [false, true] {
-            let mut m = Collection::new_for(
-                &Type::map_with(Type::Idx, Type::U64, MapSel::Bit),
-                SelectionDefaults::default(),
-                unbox,
-                false,
-            );
-            let sentinel = Value::Idx(ENC_SENTINEL);
-            assert!(matches!(
-                m.try_write(&sentinel, Value::U64(1)),
-                Err(TrapKind::SentinelInsert),
-            ));
-            assert!(!m.try_has(&sentinel).expect("probe tolerates the sentinel"));
-        }
+        let ty = Type::map_with(Type::Idx, Type::U64, MapSel::Bit);
+        assert_sentinel_discipline(boxed_reference(&ty), Value::U64(1));
+        assert_sentinel_discipline(
+            Collection::new_for(&ty, SelectionDefaults::default()),
+            Value::U64(1),
+        );
     }
 
-    /// `Vec`'s growth policy is element-size independent in the small
-    /// element class, so an unboxed backend priced via
-    /// `heap_bytes_fast_as(boxed width)` reports exactly its boxed
-    /// twin's capacity trajectory. This is the assumption behind
-    /// `heap_bytes_fast_as` (see `ade_collections::seq`); the twin test
-    /// above exercises it end-to-end, this one isolates the claim.
-    /// `soa` routes every tuple-of-scalars flavor to a columnar backend
-    /// reporting the boxed twin's [`ImplKind`]; non-tuple types and
-    /// disqualified tuples (nested, stringy, boxed map keys) fall back.
+    /// The same discipline for the columnar dense map.
+    #[test]
+    fn soa_dense_backend_keeps_the_sentinel_discipline() {
+        let ty = Type::map_with(Type::Idx, pair_ty(), MapSel::Bit);
+        assert_sentinel_discipline(boxed_reference(&ty), pair(1, 2));
+        assert_sentinel_discipline(
+            Collection::new_for(&ty, SelectionDefaults::default()),
+            pair(1, 2),
+        );
+    }
+
+    fn assert_sentinel_discipline(mut m: Collection, value: Value) {
+        let sentinel = Value::Idx(ENC_SENTINEL);
+        let label = m.kind_label();
+        assert_eq!(
+            m.try_write(&sentinel, value.clone()),
+            Err(TrapKind::SentinelInsert),
+            "{label}"
+        );
+        assert_eq!(
+            m.try_insert_key_default(&sentinel, value),
+            Err(TrapKind::SentinelInsert),
+            "{label}"
+        );
+        assert!(!m.try_has(&sentinel).expect("probe tolerates the sentinel"));
+        m.try_remove(&sentinel)
+            .expect("removal tolerates the sentinel");
+        assert!(m.is_empty(), "{label}");
+    }
+
+    /// Storage follows from the static type alone: every
+    /// tuple-of-scalars flavor selects a columnar backend reporting the
+    /// boxed fallback's [`ImplKind`], scalars select the unboxed
+    /// backends, and disqualified types (a non-scalar tuple field,
+    /// stringy fields, boxed map keys) stay boxed.
     #[test]
     fn soa_selection_picks_columnar_backends() {
         let defaults = SelectionDefaults::default();
@@ -1202,130 +1390,46 @@ mod tests {
                 "soa_bit_map",
                 ImplKind::BitMap,
             ),
+            (Type::seq(Type::U64), "unboxed_seq", ImplKind::Seq),
+            (
+                Type::seq(Type::Tuple(vec![Type::U64, Type::seq(Type::U64)])),
+                "seq",
+                ImplKind::Seq,
+            ),
+            (
+                Type::seq(Type::Tuple(vec![Type::U64, Type::Str])),
+                "seq",
+                ImplKind::Seq,
+            ),
+            (
+                Type::map_with(Type::Str, pair_ty(), MapSel::Hash),
+                "hash_map",
+                ImplKind::HashMap,
+            ),
         ];
         for (ty, label, kind) in cases {
-            let c = Collection::new_for(&ty, defaults, true, true);
+            let c = Collection::new_for(&ty, defaults);
             assert_eq!(c.kind_label(), label, "{ty:?}");
             assert_eq!(c.impl_kind(), kind, "{ty:?}");
-            // The flag off means the boxed fallback, not unboxing —
-            // tuples are not scalars.
-            let off = Collection::new_for(&ty, defaults, true, false);
-            assert!(!off.kind_label().starts_with("soa_"), "{ty:?}");
-            assert!(!off.kind_label().starts_with("unboxed_"), "{ty:?}");
-        }
-        // Disqualified element types keep their usual backends.
-        let stringy = Type::seq(Type::Tuple(vec![Type::U64, Type::Str]));
-        assert_eq!(
-            Collection::new_for(&stringy, defaults, true, true).kind_label(),
-            "seq"
-        );
-        let boxed_key = Type::map_with(Type::Str, pair_ty(), MapSel::Hash);
-        assert_eq!(
-            Collection::new_for(&boxed_key, defaults, true, true).kind_label(),
-            "hash_map"
-        );
-        let scalar = Type::seq(Type::U64);
-        assert_eq!(
-            Collection::new_for(&scalar, defaults, true, true).kind_label(),
-            "unboxed_seq"
-        );
-    }
-
-    /// The columnar twins stay observationally identical to their boxed
-    /// fallbacks over an op history exercising growth, overwrite,
-    /// removal, and membership — same kind, snapshot (iteration order
-    /// included), byte estimate, and scan words.
-    #[test]
-    fn soa_twins_are_observationally_identical() {
-        let defaults = SelectionDefaults::default();
-        let tys = [
-            Type::seq(pair_ty()),
-            Type::set_with(pair_ty(), SetSel::Hash),
-            Type::map_with(Type::U64, pair_ty(), MapSel::Hash),
-            Type::map_with(Type::Idx, pair_ty(), MapSel::Bit),
-        ];
-        for ty in tys {
-            let mut boxed = Collection::new_for(&ty, defaults, false, false);
-            let mut soa = Collection::new_for(&ty, defaults, false, true);
-            assert_eq!(boxed.impl_kind(), soa.impl_kind(), "{ty:?}");
-            for target in [&mut boxed, &mut soa] {
-                for i in 0..100u64 {
-                    let k = (i * 7) % 64;
-                    match &ty {
-                        Type::Seq(_) => {
-                            target.insert_seq(target.len(), pair(k, i));
-                            if i % 3 == 0 {
-                                target.write(&Value::U64(i / 3), pair(i, k));
-                            }
-                        }
-                        Type::Set { .. } => {
-                            target.insert_elem(pair(k, k + 1));
-                        }
-                        Type::Map { key, .. } if **key == Type::Idx => {
-                            target.write(&Value::Idx(k as usize), pair(i, k));
-                        }
-                        _ => target.write(&Value::U64(k), pair(i, k)),
-                    }
-                }
-                match &ty {
-                    Type::Seq(_) => target.remove(&Value::U64(7)),
-                    Type::Set { .. } => {
-                        assert!(target.has(&pair(7, 8)));
-                        assert!(!target.has(&pair(7, 7)));
-                        target.remove(&pair(7, 8));
-                    }
-                    Type::Map { key, .. } if **key == Type::Idx => {
-                        assert!(target.has(&Value::Idx(7)));
-                        target.remove(&Value::Idx(7));
-                    }
-                    _ => {
-                        assert!(target.has(&Value::U64(7)));
-                        target.remove(&Value::U64(7));
-                    }
-                }
-            }
-            assert_eq!(boxed.len(), soa.len(), "{ty:?}");
-            assert_eq!(boxed.snapshot(), soa.snapshot(), "{ty:?} iteration order");
-            assert_eq!(
-                boxed.bytes_estimate(),
-                soa.bytes_estimate(),
-                "{ty:?} byte accounting"
-            );
-            assert_eq!(boxed.iter_scan_words(), soa.iter_scan_words(), "{ty:?}");
         }
     }
 
-    /// The `enc` sentinel discipline holds for the columnar dense map
-    /// exactly as for its boxed twin: inserts trap, probes see absence.
-    #[test]
-    fn soa_dense_backend_keeps_the_sentinel_discipline() {
-        for soa in [false, true] {
-            let mut m = Collection::new_for(
-                &Type::map_with(Type::Idx, pair_ty(), MapSel::Bit),
-                SelectionDefaults::default(),
-                false,
-                soa,
-            );
-            let sentinel = Value::Idx(ENC_SENTINEL);
-            assert!(matches!(
-                m.try_write(&sentinel, pair(1, 2)),
-                Err(TrapKind::SentinelInsert),
-            ));
-            assert!(!m.try_has(&sentinel).expect("probe tolerates the sentinel"));
-        }
-    }
-
+    /// `Vec`'s growth policy is element-size independent in the small
+    /// element class, so an unboxed backend priced via
+    /// `heap_bytes_fast_as(boxed width)` reports exactly its boxed
+    /// twin's capacity trajectory. This is the assumption behind
+    /// `heap_bytes_fast_as` (see `ade_collections::seq`); the twin tests
+    /// above exercise it end-to-end, this one isolates the claim.
     #[test]
     fn capacity_trajectories_match_across_element_widths() {
-        use crate::value::ScalarVal;
-        let mut boxed: ade_collections::ArraySeq<Value> = ade_collections::ArraySeq::new();
-        let mut unboxed: ade_collections::ArraySeq<ScalarVal> = ade_collections::ArraySeq::new();
+        let mut boxed: ArraySeq<Value> = ArraySeq::new();
+        let mut unboxed: ArraySeq<ScalarVal> = ArraySeq::new();
         for i in 0..1000u64 {
             boxed.push(Value::U64(i));
             unboxed.push(ScalarVal::from_value(&Value::U64(i)).expect("scalar"));
             assert_eq!(
                 boxed.heap_bytes_fast(),
-                unboxed.heap_bytes_fast_as(std::mem::size_of::<Value>()),
+                unboxed.heap_bytes_fast_as(size_of::<Value>()),
                 "capacity diverged at push {i}"
             );
         }

@@ -1,6 +1,6 @@
 //! Quantum-size invariance: slicing an execution into fuel quanta must
 //! not be observable. For every quantum size {1, 7, 1024, unlimited}
-//! and every point of the fuse × loop-fuse × unbox grid, a session-run
+//! and every point of the fuse × loop-fuse grid, a session-run
 //! program must produce byte-identical output, identical operation
 //! statistics and memory peaks, an identical per-site profile, and —
 //! for failing programs — the same typed error at the same trap site
@@ -59,20 +59,17 @@ fn @main() -> void {
 }
 "#;
 
-/// All eight fuse × loop-fuse × unbox configurations.
+/// All four fuse × loop-fuse configurations.
 fn grid() -> Vec<ExecConfig> {
     let mut configs = Vec::new();
     for fuse in [true, false] {
         for loop_fuse in [true, false] {
-            for unbox in [true, false] {
-                configs.push(ExecConfig {
-                    fuse,
-                    loop_fuse,
-                    unbox,
-                    profile: true,
-                    ..ExecConfig::default()
-                });
-            }
+            configs.push(ExecConfig {
+                fuse,
+                loop_fuse,
+                profile: true,
+                ..ExecConfig::default()
+            });
         }
     }
     configs
@@ -122,10 +119,7 @@ fn fingerprint(o: &Outcome) -> String {
 fn successful_runs_are_quantum_invariant_across_the_grid() {
     let module = parse_module(BULK).expect("parses");
     for config in grid() {
-        let label = format!(
-            "fuse={} loop_fuse={} unbox={}",
-            config.fuse, config.loop_fuse, config.unbox
-        );
+        let label = format!("fuse={} loop_fuse={}", config.fuse, config.loop_fuse);
         let batch = Interpreter::new(&module, config.clone())
             .run("main")
             .unwrap_or_else(|e| panic!("batch run fails under {label}: {e}"));
@@ -147,10 +141,7 @@ fn successful_runs_are_quantum_invariant_across_the_grid() {
 fn trap_sites_are_quantum_invariant_across_the_grid() {
     let module = parse_module(TRAPPING).expect("parses");
     for config in grid() {
-        let label = format!(
-            "fuse={} loop_fuse={} unbox={}",
-            config.fuse, config.loop_fuse, config.unbox
-        );
+        let label = format!("fuse={} loop_fuse={}", config.fuse, config.loop_fuse);
         let batch_err = Interpreter::new(&module, config.clone())
             .run("main")
             .expect_err("must trap");

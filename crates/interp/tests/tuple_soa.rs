@@ -2,31 +2,33 @@
 //! streaming loop kernels must be invisible everywhere except wall
 //! time: program output, per-phase operation counts, memory highwater,
 //! per-site profiles and trap text are identical across every
-//! fuse × loop_fuse × unbox × soa combination. Never weaken these
-//! differential checks to make a change pass.
+//! fuse × loop_fuse combination, and every program's output matches a
+//! hand-computed constant, an oracle independent of the storage layout
+//! (which follows from the static type alone). The collection-level
+//! twin tests in `heap.rs` compare each columnar backend with its boxed
+//! fallback op by op. Never weaken these differential checks to make a
+//! change pass.
 
 use ade_interp::{ExecConfig, ExecError, Interpreter, Outcome};
 use ade_ir::parse::parse_module;
 use ade_obs::{MetricValue, MetricsRegistry};
 
-/// All sixteen interpreter-optimization combinations as
-/// `(fuse, loop_fuse, unbox, soa)`.
-fn grid() -> impl Iterator<Item = (bool, bool, bool, bool)> {
-    (0u8..16).map(|b| (b & 1 != 0, b & 2 != 0, b & 4 != 0, b & 8 != 0))
+/// All four interpreter-optimization combinations as
+/// `(fuse, loop_fuse)`, the all-off reference first.
+fn grid() -> impl Iterator<Item = (bool, bool)> {
+    (0u8..4).map(|b| (b & 1 != 0, b & 2 != 0))
 }
 
-fn config(combo: (bool, bool, bool, bool), profile: bool) -> ExecConfig {
+fn config(combo: (bool, bool), profile: bool) -> ExecConfig {
     ExecConfig {
         fuse: combo.0,
         loop_fuse: combo.1,
-        unbox: combo.2,
-        soa: combo.3,
         profile,
         ..ExecConfig::default()
     }
 }
 
-fn run_with(text: &str, combo: (bool, bool, bool, bool), profile: bool) -> Outcome {
+fn run_with(text: &str, combo: (bool, bool), profile: bool) -> Outcome {
     let m = parse_module(text).expect("parses");
     ade_ir::verify::verify_module(&m).expect("verifies");
     Interpreter::new(&m, config(combo, profile))
@@ -34,21 +36,17 @@ fn run_with(text: &str, combo: (bool, bool, bool, bool), profile: bool) -> Outco
         .expect("runs")
 }
 
-/// Runs `text` under every grid combination and requires output,
-/// per-phase op counts and peak bytes to match the all-off baseline,
-/// plus byte-identical per-site profiles between all-off and all-on.
-fn assert_grid_identical(name: &str, text: &str) {
-    let baseline = run_with(text, (false, false, false, false), false);
-    assert!(
-        !baseline.output.is_empty(),
-        "[{name}] program under test must print"
-    );
+/// Runs `text` under every grid combination and requires the all-off
+/// baseline to print `expected` (computed by hand from the program),
+/// every other combination to match its output, per-phase op counts
+/// and peak bytes, and per-site profiles to be byte-identical between
+/// all-off and all-on.
+fn assert_grid_identical(name: &str, text: &str, expected: &str) {
+    let baseline = run_with(text, (false, false), false);
+    assert_eq!(baseline.output, expected, "[{name}] wrong output");
     for combo in grid().skip(1) {
         let out = run_with(text, combo, false);
-        let tag = format!(
-            "[{name} fuse={} loop_fuse={} unbox={} soa={}]",
-            combo.0, combo.1, combo.2, combo.3
-        );
+        let tag = format!("[{name} fuse={} loop_fuse={}]", combo.0, combo.1);
         assert_eq!(baseline.output, out.output, "{tag} output diverged");
         assert_eq!(
             baseline.stats.per_phase, out.stats.per_phase,
@@ -59,8 +57,8 @@ fn assert_grid_identical(name: &str, text: &str) {
             "{tag} peak memory diverged"
         );
     }
-    let off = run_with(text, (false, false, false, false), true);
-    let on = run_with(text, (true, true, true, true), true);
+    let off = run_with(text, (false, false), true);
+    let on = run_with(text, (true, true), true);
     assert_eq!(
         off.profile.as_ref().expect("profile collected").to_json(),
         on.profile.as_ref().expect("profile collected").to_json(),
@@ -102,7 +100,10 @@ fn @main() -> void {{
 }}
 "#
     );
-    assert_grid_identical("proj_reduce", &text);
+    // Row i is (3i, 3i mod 7); 3 is invertible mod 7, so every 7 rows
+    // sum 0+1+..+6 = 21 in field 1: 9 full cycles plus row 63 (189 mod 7
+    // = 0) give 189.
+    assert_grid_identical("proj_reduce", &text, "189\n");
 }
 
 #[test]
@@ -127,7 +128,9 @@ fn @main() -> void {{
 }}
 "#
     );
-    assert_grid_identical("proj_filter_reduce", &text);
+    // Rows with 3i < 90 are i < 30: four cycles (84) plus rows 28 and 29
+    // (84 mod 7 = 0, 87 mod 7 = 3) give 87.
+    assert_grid_identical("proj_filter_reduce", &text, "87\n");
 }
 
 #[test]
@@ -155,7 +158,9 @@ fn @main() -> void {{
 }}
 "#
     );
-    assert_grid_identical("proj_probe_count", &text);
+    // The set holds 5j for j < 24 (up to 115); 3i is a member when 5 | i
+    // and 3i <= 115: i = 0, 5, ..., 35, eight rows.
+    assert_grid_identical("proj_probe_count", &text, "8\n");
 }
 
 #[test]
@@ -175,7 +180,8 @@ fn @main() -> void {{
 }}
 "#
     );
-    assert_grid_identical("proj_copy_into", &text);
+    // 3i mod 7 over 64 consecutive i takes all seven residues.
+    assert_grid_identical("proj_copy_into", &text, "7\n");
 }
 
 #[test]
@@ -202,7 +208,8 @@ fn @main() -> void {{
 }}
 "#
     );
-    assert_grid_identical("proj_filter_into", &text);
+    // 3i < 120 keeps i < 40, still every residue mod 7.
+    assert_grid_identical("proj_filter_into", &text, "7\n");
 }
 
 #[test]
@@ -223,7 +230,8 @@ fn @main() -> void {{
 }}
 "#
     );
-    assert_grid_identical("forrange_spec", &text);
+    // Field 0 sums to 3 * (0+..+63) = 6048, field 1 to 189.
+    assert_grid_identical("forrange_spec", &text, "6237\n");
 }
 
 #[test]
@@ -251,7 +259,9 @@ fn @main() -> void {{
 }}
 "#
     );
-    assert_grid_identical("escape_write_remove", &text);
+    // Row 5 is (15, 1); row 9 becomes the swapped (1, 15); removing row 5
+    // leaves 63 rows with the old row 6, (18, 4), at index 5.
+    assert_grid_identical("escape_write_remove", &text, "15 1\n1 15\n63 18\n");
 }
 
 #[test]
@@ -294,7 +304,9 @@ fn @main() -> void {
   ret
 }
 "#;
-    assert_grid_identical("soa_set_map_bitmap", text);
+    // Row 0 of the set is (0, true), so (0, false) is absent; key 7 maps
+    // to (49, 1) in both maps; the set's field 0 sums 0+..+47 = 1128.
+    assert_grid_identical("soa_set_map_bitmap", text, "false 49 1 49 1 1128\n");
 }
 
 #[test]
@@ -319,13 +331,11 @@ fn @main() -> void {{
     );
     let m = parse_module(&text).expect("parses");
     ade_ir::verify::verify_module(&m).expect("verifies");
-    let trap_text = |combo| {
-        match Interpreter::new(&m, config(combo, false)).run("main") {
-            Err(e @ ExecError::GuestTrap { .. }) => e.to_string(),
-            other => panic!("expected an out-of-bounds trap, got {other:?}"),
-        }
+    let trap_text = |combo| match Interpreter::new(&m, config(combo, false)).run("main") {
+        Err(e @ ExecError::GuestTrap { .. }) => e.to_string(),
+        other => panic!("expected an out-of-bounds trap, got {other:?}"),
     };
-    let baseline = trap_text((false, false, false, false));
+    let baseline = trap_text((false, false));
     assert!(
         baseline.contains("out of bounds"),
         "unexpected trap text: {baseline}"
@@ -334,11 +344,9 @@ fn @main() -> void {{
         assert_eq!(
             baseline,
             trap_text(combo),
-            "trap text diverged under fuse={} loop_fuse={} unbox={} soa={}",
+            "trap text diverged under fuse={} loop_fuse={}",
             combo.0,
-            combo.1,
-            combo.2,
-            combo.3
+            combo.1
         );
     }
 }
@@ -364,28 +372,24 @@ fn @main() -> void {{
     );
     let m = parse_module(&text).expect("parses");
     ade_ir::verify::verify_module(&m).expect("verifies");
-    let trap_text = |combo| {
-        match Interpreter::new(&m, config(combo, false)).run("main") {
-            Err(e @ ExecError::GuestTrap { .. }) => e.to_string(),
-            other => panic!("expected a division trap, got {other:?}"),
-        }
+    let trap_text = |combo| match Interpreter::new(&m, config(combo, false)).run("main") {
+        Err(e @ ExecError::GuestTrap { .. }) => e.to_string(),
+        other => panic!("expected a division trap, got {other:?}"),
     };
-    let baseline = trap_text((false, false, false, false));
+    let baseline = trap_text((false, false));
     for combo in grid().skip(1) {
         assert_eq!(
             baseline,
             trap_text(combo),
-            "trap text diverged under fuse={} loop_fuse={} unbox={} soa={}",
+            "trap text diverged under fuse={} loop_fuse={}",
             combo.0,
-            combo.1,
-            combo.2,
-            combo.3
+            combo.1
         );
     }
 }
 
 #[test]
-fn fuel_trips_at_the_same_tick_with_soa_on_and_off() {
+fn fuel_trips_at_the_same_tick_across_the_grid() {
     let text = format!(
         r#"
 fn @main() -> void {{
@@ -402,36 +406,39 @@ fn @main() -> void {{
     let m = parse_module(&text).expect("parses");
     ade_ir::verify::verify_module(&m).expect("verifies");
     for fuel in [1u64, 97, 750, u64::MAX] {
-        let run = |soa: bool| {
+        let run = |combo| {
             Interpreter::new(
                 &m,
                 ExecConfig {
                     fuel: Some(fuel),
-                    soa,
-                    ..ExecConfig::default()
+                    ..config(combo, false)
                 },
             )
             .run("main")
         };
-        match (run(false), run(true)) {
-            (Ok(off), Ok(on)) => {
-                assert_eq!(off.output, on.output, "[fuel={fuel}] output diverged");
-                assert_eq!(
-                    off.stats.per_phase, on.stats.per_phase,
-                    "[fuel={fuel}] op counts diverged"
-                );
-                assert_eq!(
-                    off.fuel_ticks, on.fuel_ticks,
-                    "[fuel={fuel}] tick counts diverged"
-                );
-            }
-            (Err(off), Err(on)) => assert_eq!(
-                off.to_string(),
-                on.to_string(),
-                "[fuel={fuel}] trap point diverged"
-            ),
-            (off, on) => {
-                panic!("[fuel={fuel}] one side trapped, the other did not: off={off:?} on={on:?}")
+        for combo in grid().skip(1) {
+            match (run((false, false)), run(combo)) {
+                (Ok(off), Ok(on)) => {
+                    assert_eq!(off.output, on.output, "[fuel={fuel}] output diverged");
+                    assert_eq!(
+                        off.stats.per_phase, on.stats.per_phase,
+                        "[fuel={fuel}] op counts diverged"
+                    );
+                    assert_eq!(
+                        off.fuel_ticks, on.fuel_ticks,
+                        "[fuel={fuel}] tick counts diverged"
+                    );
+                }
+                (Err(off), Err(on)) => assert_eq!(
+                    off.to_string(),
+                    on.to_string(),
+                    "[fuel={fuel}] trap point diverged"
+                ),
+                (off, on) => {
+                    panic!(
+                        "[fuel={fuel}] one side trapped, the other did not: off={off:?} on={on:?}"
+                    )
+                }
             }
         }
     }
@@ -450,32 +457,27 @@ fn @main() -> void {{
 "#
     );
     let m = parse_module(&text).expect("parses");
-    let selected = |soa: bool| {
-        let metrics = MetricsRegistry::enabled();
-        let cfg = ExecConfig {
-            soa,
-            metrics: metrics.clone(),
-            ..ExecConfig::default()
-        };
-        Interpreter::new(&m, cfg).run("main").expect("runs");
-        metrics
-            .snapshot()
-            .rows
-            .into_iter()
-            .filter(|r| r.name == "exec_backend_selected_total")
-            .map(|r| (r.id, r.value))
-            .collect::<Vec<_>>()
+    let metrics = MetricsRegistry::enabled();
+    let cfg = ExecConfig {
+        metrics: metrics.clone(),
+        ..ExecConfig::default()
     };
-    let on = selected(true);
-    assert!(
-        on.iter().any(|(id, v)| id
-            == "exec_backend_selected_total{kind=\"soa_seq\"}"
-            && matches!(v, MetricValue::Counter(1))),
-        "SoA selection missing from the metric: {on:?}"
-    );
-    let off = selected(false);
-    assert!(
-        off.iter().all(|(id, _)| !id.contains("soa")),
-        "--no-soa must not select columnar backends: {off:?}"
+    Interpreter::new(&m, cfg).run("main").expect("runs");
+    let selected = metrics
+        .snapshot()
+        .rows
+        .into_iter()
+        .filter(|r| r.name == "exec_backend_selected_total")
+        .map(|r| (r.id, r.value))
+        .collect::<Vec<_>>();
+    // The program allocates exactly one collection, a `Seq<(u64, u64)>`:
+    // its static type alone selects the columnar backend.
+    assert_eq!(
+        selected,
+        vec![(
+            "exec_backend_selected_total{kind=\"soa_seq\"}".to_string(),
+            MetricValue::Counter(1)
+        )],
+        "a scalar-tuple sequence must select the columnar backend"
     );
 }

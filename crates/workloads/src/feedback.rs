@@ -73,9 +73,12 @@ pub fn feedback_candidates() -> Vec<BackendCandidate> {
 /// pays one flat write per column on store, a flat read per field
 /// access, and the boxed layout's allocation weight only when a whole
 /// row escapes (lazy rematerialization). This prices the interpreter's
-/// creation-time layout rule (`ExecConfig::soa`, DESIGN.md §17); it is
-/// deliberately *not* a selection-pass candidate — layout never changes
-/// observable behavior, so it needs no ledger entry.
+/// creation-time layout rule — storage is a function of the static
+/// type, so a tuple-of-scalars collection is always stored columnar and
+/// the boxed backend is the general fallback (`Collection::new_for`,
+/// DESIGN.md §17); it is deliberately *not* a selection-pass candidate
+/// — layout never changes observable behavior, so it needs no ledger
+/// entry.
 pub fn soa_layout_candidates(columns: u32) -> Vec<LayoutCandidate> {
     let model = CostModel::intel_x64();
     // `Seq` insert carries the paper-calibrated allocation weight of a
