@@ -419,11 +419,7 @@ pub fn plan_module_traced(
                     Type::Seq(elem) => **elem == key_ty,
                     _ => false,
                 };
-                let fa = &analyses[fidx as usize];
-                if !elem_matches
-                    || crate::patch::uses_to_patch_propagator(fa.func, &fa.chains, entity)
-                        .is_none()
-                {
+                if !elem_matches || analyses[fidx as usize].propagator_facts(entity).is_none() {
                     role.propagator = false;
                 }
             }
@@ -487,10 +483,7 @@ pub fn plan_module_traced(
                         Type::Seq(elem) => **elem == key_ty,
                         _ => false,
                     };
-                    let fa = &analyses[fidx as usize];
-                    if !elem_matches
-                        || crate::patch::uses_to_patch_propagator(fa.func, &fa.chains, entity)
-                            .is_none()
+                    if !elem_matches || analyses[fidx as usize].propagator_facts(entity).is_none()
                     {
                         role.propagator = false;
                     }

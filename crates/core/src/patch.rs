@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 
 use ade_analysis::RedefChains;
-use ade_ir::{Access, Function, InstId, InstKind, Scalar, Type, ValueId};
+use ade_ir::{Access, Function, InstId, InstKind, RegionId, Scalar, Type, ValueId};
 
 /// Where within an instruction a patched value sits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -106,14 +106,12 @@ pub struct PatchSets {
 }
 
 impl PatchSets {
-    /// Union of two patch sets (used when computing a candidate's
-    /// combined benefit, Algorithm 3).
-    pub fn merged(&self, other: &PatchSets) -> PatchSets {
-        PatchSets {
-            to_enc: self.to_enc.union(&other.to_enc).copied().collect(),
-            to_dec: self.to_dec.union(&other.to_dec).copied().collect(),
-            to_add: self.to_add.union(&other.to_add).copied().collect(),
-        }
+    /// Adds every site of `other` (merging a candidate's members for
+    /// its combined benefit, Algorithm 3).
+    pub fn extend(&mut self, other: &PatchSets) {
+        self.to_enc.extend(other.to_enc.iter().copied());
+        self.to_dec.extend(other.to_dec.iter().copied());
+        self.to_add.extend(other.to_add.iter().copied());
     }
 
     /// Total number of sites.
@@ -191,31 +189,109 @@ fn path_index_steps(op: &ade_ir::Operand) -> usize {
         .count()
 }
 
-/// Every use site of `value` in the function (plain operands and path
-/// indices).
-pub fn uses_of(func: &Function, value: ValueId) -> Vec<UseSite> {
-    use_index(func).remove(&value).unwrap_or_default()
+/// The use sites of every value and the structural parents the φ-web
+/// closure asks about, from one scan of the function. The planner builds
+/// it once per function and shares it across every closure
+/// ([`crate::web::compute_web`]); it holds no ownership of the function,
+/// so it is only valid until the function is next mutated.
+pub struct UseIndex {
+    /// `sites[starts[v]..starts[v + 1]]` are the use sites of value `v`
+    /// (plain operands and path indices), in pre-order.
+    starts: Vec<u32>,
+    sites: Vec<UseSite>,
+    /// The region directly containing each instruction (the first in
+    /// arena order).
+    parent: Vec<Option<RegionId>>,
+    /// The control instruction owning each region (the first in arena
+    /// order).
+    owner: Vec<Option<InstId>>,
 }
 
-/// All use sites of every value, from one scan of the function — build
-/// this once when querying many values (the φ-web closure does).
-pub fn use_index(func: &Function) -> std::collections::HashMap<ValueId, Vec<UseSite>> {
-    let mut out: std::collections::HashMap<ValueId, Vec<UseSite>> = Default::default();
-    for inst_id in func.all_insts() {
-        let inst = func.inst(inst_id);
-        for (n, op) in inst.operands.iter().enumerate() {
-            out.entry(op.base).or_default().push(UseSite::plain(inst_id, n));
-            for (step, a) in op.path.iter().enumerate() {
-                if let Access::Index(Scalar::Value(v)) = a {
-                    out.entry(*v).or_default().push(UseSite {
-                        inst: inst_id,
-                        pos: OperandPos::PathIndex { operand: n, step },
-                    });
+impl UseIndex {
+    /// Indexes `func`.
+    pub fn build(func: &Function) -> UseIndex {
+        let order = func.all_insts();
+        let each_use = |f: &mut dyn FnMut(ValueId, UseSite)| {
+            for &inst_id in &order {
+                for (n, op) in func.inst(inst_id).operands.iter().enumerate() {
+                    f(op.base, UseSite::plain(inst_id, n));
+                    for (step, a) in op.path.iter().enumerate() {
+                        if let Access::Index(Scalar::Value(v)) = a {
+                            f(
+                                *v,
+                                UseSite {
+                                    inst: inst_id,
+                                    pos: OperandPos::PathIndex { operand: n, step },
+                                },
+                            );
+                        }
+                    }
                 }
             }
+        };
+        // Count, then fill: one flat array instead of a vector per value.
+        let n_values = func.values.len();
+        let mut starts = vec![0u32; n_values + 1];
+        each_use(&mut |v, _| {
+            if v.index() < n_values {
+                starts[v.index() + 1] += 1;
+            }
+        });
+        for i in 0..n_values {
+            starts[i + 1] += starts[i];
+        }
+        let mut next = starts.clone();
+        let placeholder = UseSite::plain(InstId(0), 0);
+        let mut sites = vec![placeholder; starts[n_values] as usize];
+        each_use(&mut |v, site| {
+            if v.index() < n_values {
+                let slot = &mut next[v.index()];
+                sites[*slot as usize] = site;
+                *slot += 1;
+            }
+        });
+
+        let mut parent = vec![None; func.insts.len()];
+        for (ridx, region) in func.regions.iter().enumerate() {
+            for &i in &region.insts {
+                parent[i.index()].get_or_insert(RegionId::from_index(ridx));
+            }
+        }
+        let mut owner = vec![None; func.regions.len()];
+        for (idx, inst) in func.insts.iter().enumerate() {
+            for &r in &inst.regions {
+                owner[r.index()].get_or_insert(InstId::from_index(idx));
+            }
+        }
+        UseIndex {
+            starts,
+            sites,
+            parent,
+            owner,
         }
     }
-    out
+
+    /// Every use site of `value`.
+    pub fn uses_of(&self, value: ValueId) -> &[UseSite] {
+        match (self.starts.get(value.index()), self.starts.get(value.index() + 1)) {
+            (Some(&lo), Some(&hi)) => &self.sites[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// The control instruction owning `region`, if any.
+    pub(crate) fn owner_of(&self, region: RegionId) -> Option<InstId> {
+        self.owner.get(region.index()).copied().flatten()
+    }
+
+    /// The control instruction owning the region that contains `inst`.
+    pub(crate) fn enclosing_owner(&self, inst: InstId) -> Option<InstId> {
+        self.parent
+            .get(inst.index())
+            .copied()
+            .flatten()
+            .and_then(|r| self.owner_of(r))
+    }
 }
 
 /// Algorithm 1: uses to patch for an enumerated (key-translated)

@@ -98,14 +98,21 @@ pub fn run_function(func: &mut Function) -> usize {
         // add to the same enumeration (an absent key encodes to a
         // sentinel), so enc entries are invalidated at adds, calls and
         // control flow; `add` and `dec` results are stable forever.
+        // `live_encs` lists, per enumeration, the values whose entry is
+        // still an `enc`, so an invalidation touches only those entries.
         let mut seen: HashMap<(u8, EnumId, ValueId), (ValueId, TransKind)> = HashMap::new();
+        let mut live_encs: HashMap<EnumId, Vec<ValueId>> = HashMap::new();
         let insts = func.region(r).insts.clone();
         for inst_id in insts {
             let inst = func.inst(inst_id);
             let Some((kind, e)) = translation_of(&inst.kind) else {
                 if matches!(inst.kind, InstKind::Call(_)) || inst.kind.is_control() {
                     // Callees and nested regions may add to enumerations.
-                    seen.retain(|_, (_, k)| *k != TransKind::Enc);
+                    for (se, values) in live_encs.drain() {
+                        for sv in values {
+                            seen.remove(&(0, se, sv));
+                        }
+                    }
                 }
                 continue;
             };
@@ -117,9 +124,11 @@ pub fn run_function(func: &mut Function) -> usize {
             if kind == TransKind::Add {
                 // Invalidate every enc of this enumeration except a
                 // same-value one, which the add strengthens below.
-                seen.retain(|(_, se, sv), (_, k)| {
-                    !(*k == TransKind::Enc && *se == e && *sv != arg)
-                });
+                for sv in live_encs.remove(&e).unwrap_or_default() {
+                    if sv != arg {
+                        seen.remove(&(0, e, sv));
+                    }
+                }
             }
             match seen.get(&(class, e, arg)).copied() {
                 Some((prev, prev_kind)) => {
@@ -135,6 +144,9 @@ pub fn run_function(func: &mut Function) -> usize {
                 }
                 None => {
                     seen.insert((class, e, arg), (inst.results[0], kind));
+                    if kind == TransKind::Enc {
+                        live_encs.entry(e).or_default().push(arg);
+                    }
                 }
             }
         }
@@ -304,6 +316,68 @@ fn @f(%i: idx, %s: Set{Bit}<idx>) -> void {
         assert_eq!(removed, 0);
         let text = print_module(&m);
         assert!(text.contains("enc e1"), "{text}");
+    }
+
+    /// Two encodes of `%x` around `middle`, both feeding a membership
+    /// probe, so neither is dead.
+    fn enc_around(enums: &str, middle: &str, tail: &str) -> String {
+        format!(
+            "{enums}\nfn @f(%x: u64, %y: u64, %s: Set{{Bit}}<idx>) -> void {{\n  \
+             %a = enc e0, %x\n  {middle}\n  %c = enc e0, %x\n  \
+             %h1 = has %s, %a\n  %h2 = has %s, %c\n  print %h1\n  print %h2\n  ret\n}}\n{tail}"
+        )
+    }
+
+    #[test]
+    fn add_of_another_value_invalidates_enc() {
+        // `%y` may be new to e0, so `enc %x` before the add may differ
+        // from `enc %x` after it.
+        let (m, removed) = run_on(&enc_around("enum e0: u64\n", "%b = enumadd e0, %y", ""));
+        assert_eq!(removed, 0);
+        let text = print_module(&m);
+        assert!(
+            text.contains("has %s, %a") && text.contains("has %s, %c"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn add_of_same_value_is_reused_by_later_enc() {
+        let (m, removed) = run_on(&enc_around("enum e0: u64\n", "%b = enumadd e0, %x", ""));
+        assert_eq!(removed, 1);
+        let text = print_module(&m);
+        assert!(
+            text.contains("has %s, %a") && text.contains("has %s, %b"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn call_invalidates_enc() {
+        let (m, removed) = run_on(&enc_around(
+            "enum e0: u64\n",
+            "call @1()",
+            "\nfn @g() -> void {\n  ret\n}\n",
+        ));
+        assert_eq!(removed, 0);
+        let text = print_module(&m);
+        assert!(
+            text.contains("has %s, %a") && text.contains("has %s, %c"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn add_on_other_enum_keeps_enc() {
+        let (m, removed) = run_on(&enc_around(
+            "enum e0: u64\nenum e1: u64\n",
+            "%b = enumadd e1, %y",
+            "",
+        ));
+        assert_eq!(removed, 1);
+        let text = print_module(&m);
+        assert!(!text.contains("has %s, %c"), "{text}");
+        assert_eq!(text.matches("has %s, %a").count(), 2, "{text}");
     }
 
     #[test]

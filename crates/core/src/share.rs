@@ -9,14 +9,16 @@
 //! greedy and must beat the sum of its parts on the benefit heuristic;
 //! §III-I directives override the heuristic.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::rc::Rc;
 
 use ade_analysis::{EscapeAnalysis, RedefChains};
 use ade_ir::{Function, InstId, InstKind, Module, Type, ValueId};
 
 use crate::patch::{
     key_roots, propagator_roots, uses_to_patch_keys, uses_to_patch_propagator, CollectionEntity,
-    PatchSets,
+    PatchSets, UseIndex,
 };
 use crate::rte::find_redundant;
 use crate::web::{compute_web, PhiWeb};
@@ -68,6 +70,58 @@ pub struct FuncAnalysis<'f> {
     /// All entities that may join candidates (seeds plus sequences and
     /// nested collections).
     pub all_entities: Vec<(CollectionEntity, Option<InstId>)>,
+    /// Use sites and region owners of the function, for every φ-web.
+    pub(crate) uses: UseIndex,
+    /// Algorithm 1 per entity: its patch sets and identifier roots.
+    key_facts: RefCell<HashMap<CollectionEntity, Rc<EntityFacts>>>,
+    /// Algorithm 4 per entity; `None` when it cannot be a propagator.
+    propagator_facts: RefCell<HashMap<CollectionEntity, Option<Rc<EntityFacts>>>>,
+}
+
+/// One entity's patch sets in one role and the identifier roots whose
+/// uses the φ-web closes over.
+pub(crate) struct EntityFacts {
+    /// The sites Algorithm 1 or 4 patches.
+    pub(crate) sets: PatchSets,
+    /// Values that become identifiers.
+    pub(crate) roots: BTreeSet<ValueId>,
+}
+
+impl FuncAnalysis<'_> {
+    /// Algorithm 1 for `entity` as an enumerated collection. Pure in the
+    /// function, its chains and the entity, so each entity is analysed
+    /// once however many candidates try it.
+    pub(crate) fn key_facts(&self, entity: CollectionEntity) -> Rc<EntityFacts> {
+        if let Some(facts) = self.key_facts.borrow().get(&entity) {
+            return Rc::clone(facts);
+        }
+        let facts = Rc::new(EntityFacts {
+            sets: uses_to_patch_keys(self.func, &self.chains, entity),
+            roots: key_roots(self.func, &self.chains, entity),
+        });
+        self.key_facts
+            .borrow_mut()
+            .insert(entity, Rc::clone(&facts));
+        facts
+    }
+
+    /// Algorithm 4 for `entity` as a propagator, memoized like
+    /// [`FuncAnalysis::key_facts`]; `None` when it cannot propagate.
+    pub(crate) fn propagator_facts(&self, entity: CollectionEntity) -> Option<Rc<EntityFacts>> {
+        if let Some(facts) = self.propagator_facts.borrow().get(&entity) {
+            return facts.clone();
+        }
+        let facts = uses_to_patch_propagator(self.func, &self.chains, entity).map(|sets| {
+            Rc::new(EntityFacts {
+                sets,
+                roots: propagator_roots(self.func, &self.chains, entity),
+            })
+        });
+        self.propagator_facts
+            .borrow_mut()
+            .insert(entity, facts.clone());
+        facts
+    }
 }
 
 /// Builds the per-function analysis state.
@@ -146,6 +200,9 @@ pub fn analyze_function<'f>(module: &Module, func: &'f Function) -> FuncAnalysis
         escape,
         seed_entities,
         all_entities,
+        uses: UseIndex::build(func),
+        key_facts: RefCell::default(),
+        propagator_facts: RefCell::default(),
     }
 }
 
@@ -164,25 +221,7 @@ pub fn entity_patch_sets(
     role: MemberRole,
     claimed: &BTreeSet<ValueId>,
 ) -> Option<(PatchSets, PhiWeb, BTreeSet<ValueId>)> {
-    let mut sets = PatchSets::default();
-    let mut roots = BTreeSet::new();
-    if role.keys {
-        sets = sets.merged(&uses_to_patch_keys(fa.func, &fa.chains, entity));
-        roots.extend(key_roots(fa.func, &fa.chains, entity));
-    }
-    if role.propagator {
-        let prop = uses_to_patch_propagator(fa.func, &fa.chains, entity)?;
-        sets = sets.merged(&prop);
-        roots.extend(propagator_roots(fa.func, &fa.chains, entity));
-    }
-    let web = compute_web(fa.func, &roots, claimed);
-    for &s in &web.sinks {
-        sets.to_dec.insert(s);
-    }
-    for &s in &web.boundary_adds {
-        sets.to_add.insert(s);
-    }
-    Some((sets, web, roots))
+    members_patch_sets(fa, &[Member { entity, role }], claimed)
 }
 
 /// Merged patch sets of a whole member list (one shared enumeration):
@@ -196,16 +235,17 @@ pub fn members_patch_sets(
     let mut roots = BTreeSet::new();
     for m in members {
         if m.role.keys {
-            sets = sets.merged(&uses_to_patch_keys(fa.func, &fa.chains, m.entity));
-            roots.extend(key_roots(fa.func, &fa.chains, m.entity));
+            let facts = fa.key_facts(m.entity);
+            sets.extend(&facts.sets);
+            roots.extend(facts.roots.iter().copied());
         }
         if m.role.propagator {
-            let prop = uses_to_patch_propagator(fa.func, &fa.chains, m.entity)?;
-            sets = sets.merged(&prop);
-            roots.extend(propagator_roots(fa.func, &fa.chains, m.entity));
+            let facts = fa.propagator_facts(m.entity)?;
+            sets.extend(&facts.sets);
+            roots.extend(facts.roots.iter().copied());
         }
     }
-    let web = compute_web(fa.func, &roots, claimed);
+    let web = compute_web(fa.func, &fa.uses, &roots, claimed);
     for &s in &web.sinks {
         sets.to_dec.insert(s);
     }

@@ -9,6 +9,8 @@
 //! identifiers propagate through carried values exactly as in the
 //! paper's Listing 4 without any explicit φ surgery.
 
+use std::collections::HashMap;
+
 use ade_analysis::RedefChains;
 use ade_ir::{
     Access, ConstVal, EnumDecl, EnumId, Function, Inst, InstId, InstKind, Module, Operand,
@@ -95,21 +97,23 @@ pub fn apply_traced(
         }
         // All decodes first, then all encodes/adds, so that a site owned
         // by two enumerations composes as `enc(e1, dec(e2, x))`.
+        let mut pending = Pending::default();
         for cand in &func_plan.candidates {
             let enum_id = EnumId::from_index(enum_base + cand.enum_idx);
-            for site in cand.sets.to_dec.iter().copied().collect::<Vec<_>>() {
-                wrap_site(func, site, InstKind::Dec(enum_id));
+            for &site in &cand.sets.to_dec {
+                wrap_site(func, &mut pending, site, InstKind::Dec(enum_id));
             }
         }
         for cand in &func_plan.candidates {
             let enum_id = EnumId::from_index(enum_base + cand.enum_idx);
-            for site in cand.sets.to_enc.iter().copied().collect::<Vec<_>>() {
-                wrap_site(func, site, InstKind::Enc(enum_id));
+            for &site in &cand.sets.to_enc {
+                wrap_site(func, &mut pending, site, InstKind::Enc(enum_id));
             }
-            for site in cand.sets.to_add.iter().copied().collect::<Vec<_>>() {
-                wrap_site(func, site, InstKind::EnumAdd(enum_id));
+            for &site in &cand.sets.to_add {
+                wrap_site(func, &mut pending, site, InstKind::EnumAdd(enum_id));
             }
         }
+        pending.splice(func);
         repair_types_with_enums(func, &ret_tys, &enum_tys);
     }
     report
@@ -181,10 +185,40 @@ fn retype_roots(func: &mut Function, cand: &PlannedCandidate) {
     }
 }
 
-/// Wraps the value at `site` in a translation instruction inserted just
+/// Translations created but not yet placed, keyed by the instruction
+/// they precede. Each goes immediately before its anchor, in queue order
+/// — exactly what inserting them one at a time produces — and
+/// [`Pending::splice`] rebuilds every touched region once.
+#[derive(Default)]
+struct Pending(HashMap<InstId, Vec<InstId>>);
+
+impl Pending {
+    fn splice(mut self, func: &mut Function) {
+        for region in &mut func.regions {
+            if self.0.is_empty() {
+                return;
+            }
+            if !region.insts.iter().any(|i| self.0.contains_key(i)) {
+                continue;
+            }
+            let mut insts = Vec::with_capacity(region.insts.len());
+            for &i in &region.insts {
+                // `remove`: an anchor listed twice gets its queue once,
+                // at its first occurrence.
+                if let Some(queued) = self.0.remove(&i) {
+                    insts.extend(queued);
+                }
+                insts.push(i);
+            }
+            region.insts = insts;
+        }
+    }
+}
+
+/// Wraps the value at `site` in a translation instruction queued just
 /// before the using instruction. Result types are provisional
 /// (`repair_types` finalizes them).
-fn wrap_site(func: &mut Function, site: UseSite, kind: InstKind) {
+fn wrap_site(func: &mut Function, pending: &mut Pending, site: UseSite, kind: InstKind) {
     // The value currently used at the site (it may already have been
     // rewritten by an earlier patch at the same position).
     let current: Operand = match site.pos {
@@ -196,6 +230,7 @@ fn wrap_site(func: &mut Function, site: UseSite, kind: InstKind) {
                     // Materialize the constant so it can be translated.
                     let cv = new_inst_before(
                         func,
+                        pending,
                         site.inst,
                         InstKind::Const(ConstVal::U64(c)),
                         vec![],
@@ -214,7 +249,7 @@ fn wrap_site(func: &mut Function, site: UseSite, kind: InstKind) {
         InstKind::Enc(_) | InstKind::EnumAdd(_) => Type::Idx,
         _ => Type::Void, // Dec: fixed by repair from the enum declaration.
     };
-    let new_val = new_inst_before(func, site.inst, kind, vec![current], result_ty);
+    let new_val = new_inst_before(func, pending, site.inst, kind, vec![current], result_ty);
     match site.pos {
         OperandPos::Plain(n) => {
             func.inst_mut(site.inst).operands[n] = Operand::value(new_val);
@@ -226,10 +261,11 @@ fn wrap_site(func: &mut Function, site: UseSite, kind: InstKind) {
     }
 }
 
-/// Creates an instruction with one result and inserts it immediately
+/// Creates an instruction with one result and queues it immediately
 /// before `before` in its containing region.
 fn new_inst_before(
     func: &mut Function,
+    pending: &mut Pending,
     before: InstId,
     kind: InstKind,
     operands: Vec<Operand>,
@@ -251,13 +287,7 @@ fn new_inst_before(
         regions: vec![],
         results: vec![value],
     });
-    let region = func.parent_region(before);
-    let pos = func.regions[region.index()]
-        .insts
-        .iter()
-        .position(|&i| i == before)
-        .expect("inst in region");
-    func.regions[region.index()].insts.insert(pos, inst_id);
+    pending.0.entry(before).or_default().push(inst_id);
     value
 }
 

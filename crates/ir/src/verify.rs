@@ -85,6 +85,36 @@ enum Order {
     Enclosing,
 }
 
+/// The values in scope during the scoping walk, in time linear in the
+/// function: a per-value count of live definitions (a count rather than
+/// a flag, so a value defined twice stays in scope until both
+/// definitions leave it) and the definitions in order, so leaving a
+/// region undoes exactly the definitions made inside it. An id outside
+/// the value arena is never in scope.
+struct Scope {
+    live: Vec<u32>,
+    defined: Vec<ValueId>,
+}
+
+impl Scope {
+    fn define(&mut self, v: ValueId) {
+        if let Some(count) = self.live.get_mut(v.index()) {
+            *count += 1;
+            self.defined.push(v);
+        }
+    }
+
+    fn contains(&self, v: ValueId) -> bool {
+        self.live.get(v.index()).is_some_and(|&count| count > 0)
+    }
+
+    fn leave(&mut self, mark: usize) {
+        for v in self.defined.drain(mark..) {
+            self.live[v.index()] -= 1;
+        }
+    }
+}
+
 struct Verifier<'a> {
     func: &'a Function,
     module: Option<&'a Module>,
@@ -171,17 +201,25 @@ impl<'a> Verifier<'a> {
     // -- scoping -----------------------------------------------------------
 
     fn check_scoping(&self) -> Result<(), VerifyError> {
-        let mut defined: Vec<ValueId> = self.func.params.clone();
-        self.scope_region(self.func.body, &mut defined)
+        let mut scope = Scope {
+            live: vec![0; self.func.values.len()],
+            defined: Vec::new(),
+        };
+        for &p in &self.func.params {
+            scope.define(p);
+        }
+        self.scope_region(self.func.body, &mut scope)
     }
 
-    fn scope_region(&self, region: RegionId, defined: &mut Vec<ValueId>) -> Result<(), VerifyError> {
-        let mark = defined.len();
-        defined.extend(&self.func.region(region).args);
+    fn scope_region(&self, region: RegionId, scope: &mut Scope) -> Result<(), VerifyError> {
+        let mark = scope.defined.len();
+        for &a in &self.func.region(region).args {
+            scope.define(a);
+        }
         for &inst_id in &self.func.region(region).insts {
             let inst = self.func.inst(inst_id);
             for used in inst.used_values() {
-                if !defined.contains(&used) {
+                if !scope.contains(used) {
                     return Err(self.err(
                         Some(inst_id),
                         format!("use of {used} before its definition"),
@@ -189,11 +227,13 @@ impl<'a> Verifier<'a> {
                 }
             }
             for &sub in &inst.regions {
-                self.scope_region(sub, defined)?;
+                self.scope_region(sub, scope)?;
             }
-            defined.extend(&inst.results);
+            for &r in &inst.results {
+                scope.define(r);
+            }
         }
-        defined.truncate(mark);
+        scope.leave(mark);
         Ok(())
     }
 
@@ -1004,6 +1044,136 @@ fn @g(%a: u64) -> void {
         let f = b.finish();
         let err = verify_function(&f).expect_err("should fail");
         assert!(err.message.contains("must end in ret"), "{err}");
+    }
+
+    /// The full rendered scoping error (function, instruction, message).
+    fn scope_error(f: &Function) -> String {
+        verify_function(f).expect_err("should fail").to_string()
+    }
+
+    #[test]
+    fn rejects_use_before_definition_in_same_region() {
+        // The parser resolves names function-wide and refuses forward
+        // references, so swap the definition below its use by hand.
+        let mut f = crate::parse::parse_function(
+            "fn @f() -> void {\n  %x = const 1u64\n  %y = add %x, %x\n  print %y\n  ret\n}\n",
+        )
+        .expect("parses");
+        f.regions[f.body.index()].insts.swap(0, 1);
+        assert_eq!(
+            scope_error(&f),
+            "in @f at i1: use of %0 before its definition"
+        );
+    }
+
+    #[test]
+    fn rejects_then_value_used_after_its_if() {
+        let f = crate::parse::parse_function(
+            r#"
+fn @f(%c: bool) -> void {
+  %r = if %c then {
+    %a = const 1u64
+    yield %a
+  } else {
+    %b = const 2u64
+    yield %b
+  }
+  print %a
+  ret
+}
+"#,
+        )
+        .expect("parses");
+        assert_eq!(
+            scope_error(&f),
+            "in @f at i5: use of %1 before its definition"
+        );
+    }
+
+    #[test]
+    fn rejects_loop_argument_used_after_the_loop() {
+        let f = crate::parse::parse_function(
+            r#"
+fn @f(%s: Set<u64>) -> void {
+  %z = const 0u64
+  %n = foreach %s carry(%z) as (%v: u64, %acc: u64) {
+    yield %v
+  }
+  print %acc
+  ret
+}
+"#,
+        )
+        .expect("parses");
+        assert_eq!(
+            scope_error(&f),
+            "in @f at i3: use of %3 before its definition"
+        );
+    }
+
+    #[test]
+    fn rejects_value_from_the_other_if_branch() {
+        let f = crate::parse::parse_function(
+            r#"
+fn @f(%c: bool) -> void {
+  %r = if %c then {
+    %a = const 1u64
+    yield %a
+  } else {
+    yield %a
+  }
+  print %r
+  ret
+}
+"#,
+        )
+        .expect("parses");
+        assert_eq!(
+            scope_error(&f),
+            "in @f at i2: use of %1 before its definition"
+        );
+    }
+
+    #[test]
+    fn rejects_nested_region_result_used_in_outer_region() {
+        let f = crate::parse::parse_function(
+            r#"
+fn @f(%c: bool, %s: Set<u64>) -> void {
+  %r = if %c then {
+    %z = const 0u64
+    %n = foreach %s carry(%z) as (%v: u64, %acc: u64) {
+      %w = add %acc, %v
+      yield %w
+    }
+    yield %n
+  } else {
+    %k = const 7u64
+    yield %k
+  }
+  print %w
+  ret
+}
+"#,
+        )
+        .expect("parses");
+        assert_eq!(
+            scope_error(&f),
+            "in @f at i8: use of %5 before its definition"
+        );
+    }
+
+    #[test]
+    fn out_of_range_value_is_a_scoping_error() {
+        let mut f = crate::parse::parse_function(
+            "fn @f() -> void {\n  %x = const 1u64\n  print %x\n  ret\n}\n",
+        )
+        .expect("parses");
+        let print = f.regions[f.body.index()].insts[1];
+        f.insts[print.index()].operands[0] = Operand::value(ValueId(1000));
+        assert_eq!(
+            scope_error(&f),
+            "in @f at i1: use of %1000 before its definition"
+        );
     }
 
     #[test]
